@@ -13,15 +13,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import GeometryError
-from .gram import gram_of, normalize
+from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of, normalize
 from .hermitian import BoundaryPoint, HermitianVector, infer_dimension, point_from_lift
 from .invariants import ModuliPoint, cross_ratio_triple
 from .moduli import (
+    _positivity,
     classify,
     in_moduli_space,
     moduli_coordinates,
@@ -29,12 +31,9 @@ from .moduli import (
     real_slice_residual,
     reconstruct,
 )
-from .numeric import NumericConfig, set_default_config
+from .numeric import NumericConfig, default_config, set_default_config
 from .sampling import KINDS, random_quadruple
 from .varieties import certify_noninjectivity
-from . import gram as gram_mod
-
-import cmath
 
 
 def _read_json(args) -> dict:
@@ -97,7 +96,7 @@ def _cmd_check_moduli(args):
         "member": in_moduli_space(m, n),
         "residuals": {
             "defining": moduli_residual(m),
-            "positivity": (m.x1 * cmath.exp(-1j * m.cartan)).real,
+            "positivity": _positivity(m),
         },
     }
 
@@ -107,16 +106,20 @@ def _cmd_congruent(args):
     p = _points_from_json(obj["first"])
     q = _points_from_json(obj["second"])
     return {
-        "holomorphic": gram_mod.congruent_holomorphic(p, q),
-        "antiholomorphic": gram_mod.congruent_antiholomorphic(p, q),
+        "holomorphic": congruent_holomorphic(p, q),
+        "antiholomorphic": congruent_antiholomorphic(p, q),
     }
 
 
 def _cmd_counterexample(args):
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     return certify_noninjectivity(args.t).to_json()
 
 
 def _cmd_sample(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     seeds = np.random.SeedSequence(args.seed).spawn(args.count)
     for index, child in enumerate(seeds):
         points = random_quadruple(args.n, args.kind, np.random.default_rng(child))
@@ -147,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "in complex hyperbolic n-space.",
     )
     parser.add_argument("--tol", type=float, default=None,
-                        help="override both tolerance knobs globally")
+                        help="override both tolerance knobs for this command")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="quadruple -> moduli, cross-ratios, classification")
@@ -198,9 +201,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol is not None:
-        set_default_config(NumericConfig(abs_tol=args.tol, rel_tol=args.tol))
+    previous = default_config()
     try:
+        if args.tol is not None:
+            if not 0.0 < args.tol < math.inf:
+                raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+            set_default_config(NumericConfig(abs_tol=args.tol, rel_tol=args.tol))
         payload = args.handler(args)
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))
@@ -208,6 +214,8 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, OSError) as e:
         print(json.dumps({"error": "malformed-input", "detail": str(e)}))
         return 2
+    finally:
+        set_default_config(previous)
     if payload is not None:
         print(json.dumps(payload, indent=2))
     return 0

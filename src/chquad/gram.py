@@ -8,7 +8,8 @@ unique normal form with zero diagonal, g12 = g23 = g34 = 1 and
 |g13| = 1.  Two quadruples are congruent under a holomorphic isometry
 precisely when their normal forms coincide, and congruent under an
 anti-holomorphic isometry precisely when the normal forms are complex
-conjugate.
+conjugate.  ``gram_of`` is the only place in the package where
+Hermitian products of boundary points are taken.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import herm_product, infer_dimension, standard_lift
+from .hermitian import herm_product, standard_lifts
 from .numeric import NumericConfig, resolve
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -117,25 +118,26 @@ class NormalizedGram:
 
 
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
-    """Gram matrix of four null lifts."""
+    """Gram matrix of three or four null lifts."""
     c = resolve(cfg)
-    if len(lifts) != 4:
-        raise InvalidParameter(f"expected 4 lifts, got {len(lifts)}")
+    m = len(lifts)
+    if m not in (3, 4):
+        raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
     n = lifts[0].n
     for P in lifts:
         if P.n != n:
             raise DimensionMismatch("lifts live in different dimensions")
         if not P.is_null(c):
             raise NotNull(f"lift is not isotropic: <P,P> = {herm_product(P, P)}")
-    entries = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(i + 1, 4):
+    entries = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(i + 1, m):
             g = herm_product(lifts[i], lifts[j])
             if abs(g) <= c.tol(lifts[i].scale() * lifts[j].scale()):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             entries[i, j] = g
             entries[j, i] = g.conjugate()
-    return GramMatrix(4, entries)
+    return GramMatrix(m, entries)
 
 
 def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:
@@ -168,9 +170,7 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:
     """Normal form of a quadruple of boundary points via standard lifts."""
-    n = infer_dimension(points)
-    lifts = [standard_lift(p, n) for p in points]
-    return normalize(gram_of(lifts, cfg), cfg)
+    return normalize(gram_of(standard_lifts(points), cfg), cfg)
 
 
 def det_gram(G: NormalizedGram) -> float:

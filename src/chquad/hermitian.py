@@ -268,6 +268,12 @@ def infer_dimension(points) -> int:
     return n
 
 
+def standard_lifts(points) -> list:
+    """Standard lifts of boundary points in their common dimension."""
+    n = infer_dimension(points)
+    return [standard_lift(p, n) for p in points]
+
+
 def chordal_distance(Z: HermitianVector, W: HermitianVector) -> float:
     """Chordal distance of the complex lines spanned by Z and W (Euclidean)."""
     nz = float(np.linalg.norm(Z.coords))

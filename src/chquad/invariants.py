@@ -20,7 +20,9 @@ normal form (g13, g14, g24) the dictionary reads
 with inverse g13 = -e^{-iA}, g14 = 1/conj(X2),
 g24 = -(conj(X1)/conj(X2)) e^{iA}.  Only the squares of g13 and g24
 are determined by (X1, X2, X3) alone, which is why the angle A is part
-of the moduli data.
+of the moduli data.  Every value here is read off one ``gram.gram_of``
+matrix, and each formula (cross-ratio, Cartan, F, face determinants)
+has one definition.
 """
 
 from __future__ import annotations
@@ -29,20 +31,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CartanOutOfRange, CoincidentPoints, ZeroCrossRatio
-from .gram import NormalizedGram
-from .hermitian import HermitianVector, herm_product, infer_dimension, standard_lift
+from .errors import CartanOutOfRange, ZeroCrossRatio
+from .gram import FACES, NormalizedGram, det_face, gram_of
+from .hermitian import HermitianVector, standard_lifts
 from .numeric import NumericConfig, resolve
 
 HALF_PI = math.pi / 2.0
-
-
-def _checked_product(P: HermitianVector, Q: HermitianVector,
-                     cfg: NumericConfig) -> complex:
-    g = herm_product(P, Q)
-    if abs(g) <= cfg.tol(P.scale() * Q.scale()):
-        raise CoincidentPoints("distinct boundary points never pair to zero")
-    return g
 
 
 def _clamp_cartan(angle: float, cfg: NumericConfig) -> float:
@@ -54,35 +48,39 @@ def _clamp_cartan(angle: float, cfg: NumericConfig) -> float:
     raise CartanOutOfRange(f"angle {angle} lies outside [-pi/2, pi/2]")
 
 
+def _cross_ratio(g, i, j, k, l) -> complex:
+    """X(p_i, p_j, p_k, p_l) = g_ki g_lj / (g_li g_kj), read off Gram rows g (0-based)."""
+    return g[k][i] * g[l][j] / (g[l][i] * g[k][j])
+
+
+def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
+    """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based)."""
+    return _clamp_cartan(cmath.phase(-(g[i][j] * g[j][k] * g[k][i])), resolve(cfg))
+
+
+def _quadruple_gram(points, cfg: NumericConfig | None) -> list:
+    """Rows of the Gram matrix of an ordered quadruple's standard lifts."""
+    p1, p2, p3, p4 = points  # rejects any other number of points
+    return gram_of(standard_lifts((p1, p2, p3, p4)), cfg).entries.tolist()
+
+
 def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVector,
                       cfg: NumericConfig | None = None) -> float:
-    c = resolve(cfg)
-    triple = (_checked_product(P1, P2, c)
-              * _checked_product(P2, P3, c)
-              * _checked_product(P3, P1, c))
-    return _clamp_cartan(cmath.phase(-triple), c)
+    return _cartan(gram_of((P1, P2, P3), cfg).entries.tolist(), 0, 1, 2, cfg)
 
 
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
     """Cartan angular invariant of an ordered triple of boundary points."""
-    n = infer_dimension((p1, p2, p3))
-    return cartan_from_lifts(*(standard_lift(p, n) for p in (p1, p2, p3)), cfg=cfg)
+    return cartan_from_lifts(*standard_lifts((p1, p2, p3)), cfg=cfg)
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    c = resolve(cfg)
-    lifts = (P1, P2, P3, P4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            _checked_product(lifts[i], lifts[j], c)
-    return (herm_product(P3, P1) * herm_product(P4, P2)) / \
-           (herm_product(P4, P1) * herm_product(P3, P2))
+    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).entries.tolist(), 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     """Koranyi-Reimann complex cross-ratio of an ordered quadruple."""
-    n = infer_dimension((p1, p2, p3, p4))
-    return cross_ratio_from_lifts(*(standard_lift(p, n) for p in (p1, p2, p3, p4)), cfg=cfg)
+    return cross_ratio_from_lifts(*standard_lifts((p1, p2, p3, p4)), cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -154,21 +152,20 @@ def cross_ratio_triple(points, cfg: NumericConfig | None = None) -> CrossRatioTr
     X3 is computed from Hermitian products directly, never through the
     identity X3 = (X2/X1) e^{2iA}, so that identity stays testable.
     """
-    p1, p2, p3, p4 = points
-    return CrossRatioTriple(
-        cross_ratio(p1, p2, p3, p4, cfg),
-        cross_ratio(p1, p3, p2, p4, cfg),
-        cross_ratio(p2, p3, p1, p4, cfg),
-    )
+    g = _quadruple_gram(points, cfg)
+    return CrossRatioTriple(_cross_ratio(g, 0, 1, 2, 3), _cross_ratio(g, 0, 2, 1, 3),
+                            _cross_ratio(g, 1, 2, 0, 3))
+
+
+def _moduli(g, cfg: NumericConfig | None) -> ModuliPoint:
+    """(X1, X2, A) read off the rows of any Gram matrix of the quadruple."""
+    return ModuliPoint(_cross_ratio(g, 0, 1, 2, 3), _cross_ratio(g, 0, 2, 1, 3),
+                       _cartan(g, 0, 1, 2, cfg))
 
 
 def moduli_from_gram(G: NormalizedGram, cfg: NumericConfig | None = None) -> ModuliPoint:
     """Read (X1, X2, A) off a Gram normal form."""
-    c = resolve(cfg)
-    x1 = G.g13.conjugate() * G.g24.conjugate() / G.g14.conjugate()
-    x2 = 1.0 / G.g14.conjugate()
-    a = _clamp_cartan(cmath.phase(-G.g13.conjugate()), c)
-    return ModuliPoint(x1, x2, a)
+    return _moduli(G.matrix().tolist(), cfg)
 
 
 def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
@@ -179,24 +176,22 @@ def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
     return NormalizedGram(g13, g14, g24)
 
 
+def _defining_function(x1: complex, x2: complex, a: float) -> float:
+    """F(X1, X2, A) = -2 Re(X1 + X2) - 2 Re(X1 conj(X2) e^{-2iA}) + |X1|^2 + |X2|^2 + 1."""
+    return (-2.0 * (x1 + x2).real
+            - 2.0 * (x1 * x2.conjugate() * cmath.exp(-2j * a)).real
+            + abs(x1) ** 2 + abs(x2) ** 2 + 1.0)
+
+
 def det_from_moduli(m: ModuliPoint) -> float:
-    """Determinant of the Gram normal form, in moduli coordinates."""
-    bracket = (-2.0 * (m.x1 + m.x2).real
-               - 2.0 * (m.x1 * m.x2.conjugate() * cmath.exp(-2j * m.cartan)).real
-               + abs(m.x1) ** 2 + abs(m.x2) ** 2 + 1.0)
-    return bracket / abs(m.x2) ** 2
+    """Determinant of the Gram normal form, in moduli coordinates: F / |X2|^2."""
+    return _defining_function(m.x1, m.x2, m.cartan) / abs(m.x2) ** 2
 
 
-def face_dets_from_moduli(m: ModuliPoint):
+def face_dets_from_moduli(m: ModuliPoint) -> tuple:
     """The four face determinants in moduli coordinates.
 
     Order matches ``gram.FACES``: (1,2,3), (1,2,4), (1,3,4), (2,3,4).
     """
-    ea = cmath.exp(1j * m.cartan)
-    s = abs(m.x2) ** 2
-    return (
-        -2.0 * ea.real,
-        -2.0 * (m.x1.conjugate() / s * ea).real,
-        -2.0 * (m.x2.conjugate() / s / ea).real,
-        -2.0 * (m.x1 * m.x2.conjugate() / s / ea).real,
-    )
+    G = gram_from_moduli(m)
+    return tuple(det_face(G, face) for face in FACES)

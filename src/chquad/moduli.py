@@ -28,19 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
+from .gram import det_face
 from .hermitian import HermitianVector
-from .invariants import HALF_PI, ModuliPoint, cartan, cross_ratio, gram_from_moduli
+from .invariants import (HALF_PI, ModuliPoint, _defining_function, _moduli, _quadruple_gram,
+                         face_dets_from_moduli, gram_from_moduli)
 from .numeric import NumericConfig, resolve, small
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
     """Map a quadruple of boundary points to its moduli coordinates."""
-    p1, p2, p3, p4 = points
-    return ModuliPoint(
-        cross_ratio(p1, p2, p3, p4, cfg),
-        cross_ratio(p1, p3, p2, p4, cfg),
-        cartan(p1, p2, p3, cfg),
-    )
+    return _moduli(_quadruple_gram(points, cfg), cfg)
 
 
 def moduli_residual(m: ModuliPoint) -> float:
@@ -49,9 +46,7 @@ def moduli_residual(m: ModuliPoint) -> float:
     Vanishes for every quadruple in dimension 2; is <= 0 in general.
     Equals |X2|^2 times the Gram normal-form determinant.
     """
-    return (-2.0 * (m.x1 + m.x2).real
-            - 2.0 * (m.x1 * m.x2.conjugate() * cmath.exp(-2j * m.cartan)).real
-            + abs(m.x1) ** 2 + abs(m.x2) ** 2 + 1.0)
+    return _defining_function(m.x1, m.x2, m.cartan)
 
 
 def residual_scale(m: ModuliPoint) -> float:
@@ -61,8 +56,12 @@ def residual_scale(m: ModuliPoint) -> float:
 
 def real_slice_residual(x1: float, x2: float, a: float) -> float:
     """F restricted to real X1, X2: the conic family of the real slice."""
-    return (x1 * x1 + x2 * x2 + 1.0 - 2.0 * (x1 + x2)
-            - 2.0 * x1 * x2 * math.cos(2.0 * a))
+    return _defining_function(x1, x2, a)
+
+
+def _positivity(m: ModuliPoint) -> float:
+    """Re(X1 e^{-iA}), which is >= 0 on the moduli space."""
+    return (m.x1 * cmath.exp(-1j * m.cartan)).real
 
 
 def in_moduli_space(m: ModuliPoint, n: int, cfg: NumericConfig | None = None) -> bool:
@@ -79,7 +78,7 @@ def in_moduli_space(m: ModuliPoint, n: int, cfg: NumericConfig | None = None) ->
         raise InvalidParameter(f"moduli membership is defined for n >= 2, got {n}")
     if abs(m.cartan) > HALF_PI + c.tol(1.0):
         return False
-    if (m.x1 * cmath.exp(-1j * m.cartan)).real < -c.tol(abs(m.x1)):
+    if _positivity(m) < -c.tol(abs(m.x1)):
         return False
     F = moduli_residual(m)
     if n == 2:
@@ -115,8 +114,8 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     w1 = G.g14.conjugate()
     w_last = G.g24.conjugate()
 
-    zz = -2.0 * G.g13.real
-    ww = -2.0 * (G.g24 * G.g14.conjugate()).real
+    zz = -det_face(G, (1, 2, 3))
+    ww = -det_face(G, (1, 2, 4))
     ww_slack = 2.0 * c.tol(abs(m.x1)) / abs(m.x2) ** 2 + c.abs_tol
     if zz < 0.0 or ww < -ww_slack:
         raise InconsistentGram("negative squared norm; input is off the moduli space")
@@ -195,13 +194,10 @@ def classify(m: ModuliPoint, cfg: NumericConfig | None = None) -> Classification
     F = moduli_residual(m)
     on_shell = abs(F) <= c.tol(residual_scale(m))
     x1, x2 = m.x1, m.x2
-    ea = cmath.exp(1j * m.cartan)
-    faces = (
-        small(ea.real, 1.0, c),
-        small((x1.conjugate() * ea).real, abs(x1), c),
-        small((x2.conjugate() / ea).real, abs(x2), c),
-        small((x1 * x2.conjugate() / ea).real, abs(x1 * x2), c),
-    )
+    # face determinant = -2 q (faces 2-4: -2 q / |X2|^2) for a q held to tol(scale)
+    weights = (2.0,) + (2.0 / abs(x2) ** 2,) * 3
+    faces = tuple(abs(d) <= w * c.tol(scale) for d, w, scale in zip(
+        face_dets_from_moduli(m), weights, (1.0, abs(x1), abs(x2), abs(x1 * x2))))
     reals = small(x1.imag, abs(x1), c) and small(x2.imag, abs(x2), c)
     at_half_pi = abs(abs(m.cartan) - HALF_PI) <= c.tol(1.0)
     sum_one = abs(x1.real + x2.real - 1.0) <= c.tol(abs(x1) + abs(x2))
@@ -235,4 +231,4 @@ def positivity_check(m: ModuliPoint, cfg: NumericConfig | None = None) -> bool:
         raise PreconditionViolated("point is not on the F = 0 locus")
     if abs(m.cartan) >= HALF_PI - c.tol(1.0):
         raise PreconditionViolated("positivity check requires |A| < pi/2")
-    return (m.x1 * cmath.exp(-1j * m.cartan)).real >= -c.tol(abs(m.x1))
+    return _positivity(m) >= -c.tol(abs(m.x1))

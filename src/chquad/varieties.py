@@ -22,8 +22,8 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import CertificateFailure, InvalidParameter, ZeroCrossRatio
-from .gram import congruent_antiholomorphic, congruent_holomorphic
-from .hermitian import BoundaryPoint, herm_product, standard_lift
+from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of
+from .hermitian import BoundaryPoint, standard_lifts
 from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
 from .moduli import moduli_coordinates
 from .numeric import NumericConfig, resolve
@@ -59,14 +59,10 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
     return p, tuple(q.mirror() for q in p)
 
 
-def _product_table(points) -> dict:
-    lifts = [standard_lift(q, 2) for q in points]
-    table = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g = herm_product(lifts[i], lifts[j])
-            table[f"{i + 1}{j + 1}"] = [g.real, g.imag]
-    return table
+def _product_table(points, cfg: NumericConfig) -> dict:
+    g = gram_of(standard_lifts(points), cfg).entries.tolist()
+    return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
+            for i in range(4) for j in range(i + 1, 4)}
 
 
 @dataclass(frozen=True)
@@ -126,17 +122,15 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
     if not anti:
         raise CertificateFailure("antiholomorphically-congruent",
                                  "mirror congruence missing")
-    scale = max(1.0, abs(mp.x1), abs(mq.x1), abs(mp.x2), abs(mq.x2))
-    if (abs(mp.x1 - mq.x1) > c.tol(scale) or abs(mp.x2 - mq.x2) > c.tol(scale)
-            or abs(mp.cartan + mq.cartan) > c.tol(1.0)):
+    if not mp.isclose(ModuliPoint(mq.x1, mq.x2, -mq.cartan), c):
         raise CertificateFailure("opposite-cartan",
                                  f"moduli {mp} vs {mq}")
     return Certificate(
         t=t,
         quadruple=p,
         mirror_quadruple=q,
-        products=_product_table(p),
-        mirror_products=_product_table(q),
+        products=_product_table(p, c),
+        mirror_products=_product_table(q, c),
         triple=triple,
         mirror_triple=mirror_triple,
         moduli=mp,

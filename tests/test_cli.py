@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from chquad import default_config
 from chquad.cli import main
 
 
@@ -153,3 +156,25 @@ def test_tol_flag(tmp_path, capsys):
     assert json.loads(out)["member"] is True
     from chquad import NumericConfig, set_default_config
     set_default_config(NumericConfig())
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tol", "-1", "counterexample", "--t", "2"),
+    ("--tol", "0", "counterexample", "--t", "2"),
+    ("--tol", "nan", "counterexample", "--t", "2"),
+    ("--tol", "inf", "counterexample", "--t", "2"),
+    ("counterexample", "--t", "nan"),
+    ("counterexample", "--t", "inf"),
+    ("sample", "--n", "2", "--count", "-1"),
+])
+def test_bad_numeric_flags_exit_two(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "malformed-input"
+
+
+def test_tol_flag_restores_default_config(capsys):
+    before = default_config()
+    code, _ = run(capsys, "--tol", "1e-2", "counterexample", "--t", "2")
+    assert code == 0
+    assert default_config() == before

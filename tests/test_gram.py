@@ -6,6 +6,7 @@ from chquad import (
     DegenerateEntry,
     GramMatrix,
     InvalidFace,
+    InvalidParameter,
     NormalizedGram,
     NotNull,
     congruent_antiholomorphic,
@@ -14,6 +15,7 @@ from chquad import (
     det_face,
     det_gram,
     gram_of,
+    herm_product,
     normalize,
     normalized_gram_of_points,
     standard_lift,
@@ -59,6 +61,21 @@ def test_gram_of_rejects_bad_input():
         gram_of([lifts[0], lifts[1], lifts[2], not_null])
     with pytest.raises(CoincidentPoints):
         gram_of([lifts[0], lifts[1], lifts[2], lifts[0].scaled(2.0)])
+
+
+def test_gram_of_three_lifts():
+    rng = np.random.default_rng(6)
+    lifts = lifts_of(random_quadruple(3, "generic", rng), 3)[:3]
+    G = gram_of(lifts)
+    assert G.m == 3 and G.entries.shape == (3, 3)
+    for i in range(3):
+        assert G.entries[i, i] == 0
+        for j in range(i + 1, 3):
+            assert G.entries[i, j] == herm_product(lifts[i], lifts[j])
+            assert G.entries[j, i] == herm_product(lifts[i], lifts[j]).conjugate()
+    for count in (2, 5):
+        with pytest.raises(InvalidParameter):
+            gram_of((lifts * 2)[:count])
 
 
 def test_normalize_witness_family():

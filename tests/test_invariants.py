@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import chquad
 from chquad import (
     BoundaryPoint,
     CartanOutOfRange,
     CoincidentPoints,
     CrossRatioTriple,
+    HermitianVector,
     ModuliPoint,
     NormalizedGram,
+    NotNull,
     ZeroCrossRatio,
     cartan,
     cartan_from_lifts,
@@ -23,6 +26,7 @@ from chquad import (
     det_gram,
     face_dets_from_moduli,
     gram_from_moduli,
+    moduli_coordinates,
     moduli_from_gram,
     normalized_gram_of_points,
     standard_lift,
@@ -91,6 +95,42 @@ def test_lift_independence():
         x0 = cross_ratio_from_lifts(*lifts)
         x1 = cross_ratio_from_lifts(*scaled)
         assert abs(x0 - x1) <= 1e-10 * max(1.0, abs(x0))
+
+
+def test_from_lifts_reject_a_non_isotropic_lift():
+    p, _ = counterexample_pair(2.0)
+    lifts = [standard_lift(x, 2) for x in p]
+    # pairs to nonzero values with every witness lift, but <Z, Z> = -2
+    bad = HermitianVector(2, np.array([1, 0, -1], dtype=complex))
+    with pytest.raises(NotNull):
+        cross_ratio_from_lifts(*lifts[:3], bad)
+    with pytest.raises(NotNull):
+        cartan_from_lifts(*lifts[:2], bad)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the package function ``name`` through every module binding it."""
+    original = getattr(chquad, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (chquad.hermitian, chquad.gram, chquad.invariants, chquad.moduli,
+                   chquad.varieties, chquad.sampling):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("invariant", [moduli_coordinates, cross_ratio_triple])
+def test_one_gram_per_quadruple(monkeypatch, invariant):
+    p, _ = counterexample_pair(2.0)
+    lifts = count_calls(monkeypatch, "standard_lift")
+    grams = count_calls(monkeypatch, "gram_of")
+    invariant(p)
+    assert (len(lifts), len(grams)) == (4, 1)
 
 
 def test_isometry_invariance():
