@@ -36,11 +36,19 @@ from .sampling import KINDS, random_quadruple
 from .varieties import certify_noninjectivity
 
 
+def _finite(token: str) -> float:
+    """JSON number hook: NaN, Infinity and literals beyond the float range are malformed."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {token} in input")
+    return x
+
+
 def _read_json(args) -> dict:
     if args.input == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
     with open(args.input) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 def _points_from_json(obj) -> tuple:
@@ -125,11 +133,19 @@ def _cmd_sample(args):
         points = random_quadruple(args.n, args.kind, np.random.default_rng(child))
         line = {"n": args.n, "kind": args.kind, "seed": args.seed, "index": index}
         line.update(_quadruple_json(args.n, points))
-        print(json.dumps(line))
+        print(json.dumps(line, allow_nan=False))
     return None
 
 
 def _cmd_slice(args):
+    for flag in ("a", "x1_min", "x1_max", "x2_min", "x2_max"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    for flag in ("x1_steps", "x2_steps"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "residual"])
     for x1 in np.linspace(args.x1_min, args.x1_max, args.x1_steps):
@@ -208,16 +224,18 @@ def main(argv=None) -> int:
                 raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
             set_default_config(NumericConfig(abs_tol=args.tol, rel_tol=args.tol))
         payload = args.handler(args)
+        text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False)
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))
         return 1
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, OSError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, OSError,
+            OverflowError) as e:
         print(json.dumps({"error": "malformed-input", "detail": str(e)}))
         return 2
     finally:
         set_default_config(previous)
-    if payload is not None:
-        print(json.dumps(payload, indent=2))
+    if text is not None:
+        print(text)
     return 0
 
 

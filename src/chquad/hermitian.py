@@ -91,9 +91,7 @@ class HermitianVector:
         return HermitianVector(self.n, np.conj(self.coords))
 
     def is_null(self, cfg: NumericConfig | None = None) -> bool:
-        c = resolve(cfg)
-        s = self.scale()
-        return abs(herm_product(self, self)) <= c.tol(s * s)
+        return _is_null(self.coords.tolist(), self.scale(), resolve(cfg))
 
     def proportional_to(self, other: "HermitianVector",
                         cfg: NumericConfig | None = None) -> bool:
@@ -119,15 +117,24 @@ class HermitianVector:
         return cls(int(obj["n"]), np.array(coords))
 
 
+def _form(z, w) -> complex:
+    """<z, w> on two equally long coordinate lists of Python complex numbers."""
+    acc = z[0] * w[-1].conjugate() + z[-1] * w[0].conjugate()
+    for i in range(1, len(z) - 1):
+        acc += z[i] * w[i].conjugate()
+    return acc
+
+
+def _is_null(z, s: float, c: NumericConfig) -> bool:
+    """Is <z, z> negligible against s^2, where s is the largest coordinate magnitude?"""
+    return abs(_form(z, z)) <= c.tol(s * s)
+
+
 def herm_product(Z: HermitianVector, W: HermitianVector) -> complex:
     """<Z, W>; conjugate-symmetric and sesquilinear."""
     if Z.n != W.n:
         raise DimensionMismatch(f"products need equal n, got {Z.n} and {W.n}")
-    z, w = Z.coords, W.coords
-    acc = z[0] * w[-1].conjugate() + z[-1] * w[0].conjugate()
-    for i in range(1, Z.n):
-        acc += z[i] * w[i].conjugate()
-    return complex(acc)
+    return _form(Z.coords.tolist(), W.coords.tolist())
 
 
 @dataclass(frozen=True)
@@ -178,39 +185,42 @@ class BoundaryPoint:
         raise ValueError(f"unknown point type {obj['type']!r}")
 
 
-def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:
-    """Null lift of a boundary point; always <lift, lift> = 0."""
+def _lift(p: BoundaryPoint, n: int) -> list:
+    """Coordinates of the standard lift of p, as a list of n + 1 Python complex numbers."""
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
-    coords = np.zeros(n + 1, dtype=complex)
     if p.at_infinity:
-        coords[0] = 1.0
-        return HermitianVector(n, coords)
+        return [1 + 0j] + [0j] * n
     if len(p.z) != n - 1:
         raise DimensionMismatch(
             f"finite point with {len(p.z)} z-coordinates does not live in dimension {n}"
         )
     zz = sum(abs(v) ** 2 for v in p.z)
-    coords[0] = -zz + 1j * p.t
-    for i, v in enumerate(p.z):
-        coords[1 + i] = v * _SQRT2
-    coords[n] = 1.0
-    return HermitianVector(n, coords)
+    return [-zz + 1j * p.t] + [v * _SQRT2 for v in p.z] + [1 + 0j]
+
+
+def _point(z: list, cfg: NumericConfig | None) -> BoundaryPoint:
+    """Dehomogenize a coordinate list of Python complex numbers (see point_from_lift)."""
+    c = resolve(cfg)
+    s = max(abs(v) for v in z)
+    if s <= c.abs_tol:
+        raise ZeroVector("cannot project the zero vector")
+    if not _is_null(z, s, c):
+        raise NotNull(f"lift is not isotropic: <Z,Z> = {_form(z, z)}")
+    last = z[-1]
+    if abs(last) <= c.tol(s):
+        return BoundaryPoint.infinity()
+    return BoundaryPoint.finite([v / last / _SQRT2 for v in z[1:-1]], (z[0] / last).imag)
+
+
+def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:
+    """Null lift of a boundary point; always <lift, lift> = 0."""
+    return HermitianVector(n, _lift(p, n))
 
 
 def point_from_lift(Z: HermitianVector, cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Dehomogenize a null vector back to its boundary point."""
-    c = resolve(cfg)
-    s = Z.scale()
-    if s <= c.abs_tol:
-        raise ZeroVector("cannot project the zero vector")
-    if abs(herm_product(Z, Z)) > c.tol(s * s):
-        raise NotNull(f"lift is not isotropic: <Z,Z> = {herm_product(Z, Z)}")
-    if abs(Z.coords[-1]) <= c.tol(s):
-        return BoundaryPoint.infinity()
-    v = Z.coords / Z.coords[-1]
-    z = v[1:-1] / _SQRT2
-    return BoundaryPoint.finite(z, v[0].imag)
+    return _point(Z.coords.tolist(), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +259,7 @@ def apply_isometry(g: Isometry, Z: HermitianVector) -> HermitianVector:
 def apply_isometry_point(g: Isometry, p: BoundaryPoint,
                          cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Move a boundary point: lift, act, dehomogenize."""
-    return point_from_lift(apply_isometry(g, standard_lift(p, g.n)), cfg)
+    return _point((g.matrix @ np.array(_lift(p, g.n))).tolist(), cfg)
 
 
 def infer_dimension(points) -> int:
@@ -274,11 +284,21 @@ def standard_lifts(points) -> list:
     return [standard_lift(p, n) for p in points]
 
 
+def chordal_distances(coords) -> np.ndarray:
+    """Pairwise chordal distances of the complex lines spanned by the rows of coords.
+
+    Euclidean: sqrt(1 - |<z_i, z_j>|^2 / (|z_i|^2 |z_j|^2)) with the
+    standard inner product of C^{n+1}; 0 wherever a row vanishes.
+    """
+    L = np.asarray(coords, dtype=complex)
+    # entry by entry, so that a pair's distance does not depend on the other rows
+    products = (L.conj()[:, None, :] * L[None, :, :]).sum(axis=2)
+    sq = products.diagonal().real
+    denom = sq[:, None] * sq[None, :]
+    cos2 = np.divide(np.abs(products) ** 2, denom, out=np.ones_like(denom), where=denom > 0.0)
+    return np.sqrt(np.maximum(0.0, 1.0 - cos2))
+
+
 def chordal_distance(Z: HermitianVector, W: HermitianVector) -> float:
     """Chordal distance of the complex lines spanned by Z and W (Euclidean)."""
-    nz = float(np.linalg.norm(Z.coords))
-    nw = float(np.linalg.norm(W.coords))
-    if nz == 0.0 or nw == 0.0:
-        return 0.0
-    cos2 = abs(np.vdot(Z.coords, W.coords)) ** 2 / (nz * nz * nw * nw)
-    return math.sqrt(max(0.0, 1.0 - cos2))
+    return float(chordal_distances([Z.coords, W.coords])[0, 1])

@@ -178,3 +178,55 @@ def test_tol_flag_restores_default_config(capsys):
     code, _ = run(capsys, "--tol", "1e-2", "counterexample", "--t", "2")
     assert code == 0
     assert default_config() == before
+
+
+def strict_json(text):
+    """Parse text as standard JSON: NaN and Infinity tokens are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("check-moduli", '{"n": 2, "moduli": {"x1": [NaN, 0], "x2": [0.5, 0], "a": 0.1}}'),
+    ("check-moduli", '{"n": 2, "moduli": {"x1": [0.5, 0], "x2": [Infinity, 0], "a": 0.1}}'),
+    ("check-moduli", '{"n": 2, "moduli": {"x1": [0.5, 0], "x2": [0.5, 0], "a": 1e999}}'),
+    ("invariants", '{"points": [{"type": "finite", "z": [[NaN, 0]], "t": 0},'
+                   ' {"type": "finite", "z": [[1, 0]], "t": 0},'
+                   ' {"type": "finite", "z": [[0, 1]], "t": 0}, {"type": "infinity"}]}'),
+    ("invariants", '{"points": [{"type": "finite", "z": [[0, 0]], "t": -Infinity},'
+                   ' {"type": "finite", "z": [[1, 0]], "t": 0},'
+                   ' {"type": "finite", "z": [[0, 1]], "t": 0}, {"type": "infinity"}]}'),
+])
+def test_non_finite_input_exits_two(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+def test_overflow_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"n": 2, "moduli": {"x1": [1e308, 0], "x2": [0.5, 0],
+                                                         "a": 0.1}})
+    code, out = run(capsys, "check-moduli", "--input", path)
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+def test_non_finite_output_exits_two(capsys, monkeypatch):
+    import chquad.cli as cli
+    monkeypatch.setattr(cli, "_cmd_counterexample", lambda args: {"value": math.nan})
+    code, out = run(capsys, "counterexample", "--t", "2")
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--x1-steps", "-1"), ("--x2-steps", "-1"), ("--a", "nan"), ("--a", "inf"),
+    ("--x1-min", "inf"), ("--x1-max", "nan"), ("--x2-min", "-inf"), ("--x2-max", "inf"),
+])
+def test_slice_bad_flags_exit_two_without_header(capsys, flag, value):
+    code, out = run(capsys, "slice", "--a=0", f"{flag}={value}")
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
