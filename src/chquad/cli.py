@@ -5,7 +5,10 @@ Subcommands compose: `reconstruct` output feeds `invariants` and
 `normalize`; `invariants` and `check-moduli` exchange the moduli
 object; `sample` emits one quadruple per line for `invariants` or
 `congruent`.  Exit codes: 0 success, 1 domain error (machine-readable
-{"error", "detail"} on stdout), 2 malformed input.
+{"error", "detail"} on stdout), 2 malformed input, whose detail names
+the JSON path that failed (e.g. `points[0].z[0]: expected [re, im]`).
+A dimension n above MAX_N = 1024 (`reconstruct`, `check-moduli`,
+`sample --n`) is malformed input: four points span at most a CH^3.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import numpy as np
 
 from .errors import GeometryError
 from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of, normalize
-from .hermitian import BoundaryPoint, HermitianVector, infer_dimension, point_from_lift
+from .hermitian import (
+    BoundaryPoint,
+    HermitianVector,
+    _json_field,
+    _json_list,
+    infer_dimension,
+    point_from_lift,
+)
 from .invariants import ModuliPoint, cross_ratio_triple
 from .moduli import (
     _positivity,
@@ -34,6 +44,8 @@ from .moduli import (
 from .numeric import NumericConfig, default_config, set_default_config
 from .sampling import KINDS, random_quadruple
 from .varieties import certify_noninjectivity
+
+MAX_N = 1024
 
 
 def _finite(token: str) -> float:
@@ -51,11 +63,34 @@ def _read_json(args) -> dict:
         return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
-def _points_from_json(obj) -> tuple:
-    points = tuple(BoundaryPoint.from_json(p) for p in obj["points"])
+def _points_from_json(obj, path: str = "") -> tuple:
+    """The four points of the quadruple object at path ('' for the whole input)."""
+    where = f"{path}.points" if path else "points"
+    points = _json_list(_json_field(obj, "points", path or "input"), where)
     if len(points) != 4:
-        raise ValueError(f"expected 4 points, got {len(points)}")
-    return points
+        raise ValueError(f"{where}: expected 4 points, got {len(points)}")
+    return tuple(BoundaryPoint.from_json(p, f"{where}[{k}]") for k, p in enumerate(points))
+
+
+def _bounded_n(n: int, name: str) -> int:
+    """Reject a dimension above MAX_N before anything of that size is allocated."""
+    if n > MAX_N:
+        raise ValueError(f"{name} must be <= {MAX_N}, got {n}")
+    return n
+
+
+def _grid(start: float, stop: float, steps: int):
+    """The values of np.linspace(start, stop, steps), one at a time."""
+    div = max(steps - 1, 1)
+    delta = stop - start
+    step = delta / div
+    for k in range(steps):
+        if k == div:
+            yield stop
+        elif step == 0.0:  # numpy's order when the step underflows
+            yield k / div * delta + start
+        else:
+            yield k * step + start
 
 
 def _quadruple_json(n: int, points) -> dict:
@@ -84,8 +119,8 @@ def _cmd_normalize(args):
 
 def _cmd_reconstruct(args):
     obj = _read_json(args)
-    n = int(obj["n"])
-    m = ModuliPoint.from_json(obj["moduli"])
+    n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
+    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"))
     lifts = reconstruct(m, n)
     points = [point_from_lift(P) for P in lifts]
     out = _quadruple_json(n, points)
@@ -96,8 +131,8 @@ def _cmd_reconstruct(args):
 
 def _cmd_check_moduli(args):
     obj = _read_json(args)
-    n = int(obj["n"])
-    m = ModuliPoint.from_json(obj["moduli"])
+    n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
+    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"))
     return {
         "n": n,
         "moduli": m.to_json(),
@@ -111,8 +146,8 @@ def _cmd_check_moduli(args):
 
 def _cmd_congruent(args):
     obj = _read_json(args)
-    p = _points_from_json(obj["first"])
-    q = _points_from_json(obj["second"])
+    p = _points_from_json(_json_field(obj, "first", "input"), "first")
+    q = _points_from_json(_json_field(obj, "second", "input"), "second")
     return {
         "holomorphic": congruent_holomorphic(p, q),
         "antiholomorphic": congruent_antiholomorphic(p, q),
@@ -128,6 +163,7 @@ def _cmd_counterexample(args):
 def _cmd_sample(args):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    _bounded_n(args.n, "--n")
     seeds = np.random.SeedSequence(args.seed).spawn(args.count)
     for index, child in enumerate(seeds):
         points = random_quadruple(args.n, args.kind, np.random.default_rng(child))
@@ -146,12 +182,17 @@ def _cmd_slice(args):
         value = getattr(args, flag)
         if value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    r1 = max(abs(args.x1_min), abs(args.x1_max))
+    r2 = max(abs(args.x2_min), abs(args.x2_max))
+    # |F| on the grid is at most this (triangle inequality), so F stays finite below the cap
+    if 1.0 + 2.0 * (r1 + r2) + 2.0 * r1 * r2 + r1 * r1 + r2 * r2 > sys.float_info.max / 2:
+        raise ValueError("--x1/--x2 bounds too large: the residual could overflow")
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "residual"])
-    for x1 in np.linspace(args.x1_min, args.x1_max, args.x1_steps):
-        for x2 in np.linspace(args.x2_min, args.x2_max, args.x2_steps):
+    for x1 in _grid(args.x1_min, args.x1_max, args.x1_steps):
+        for x2 in _grid(args.x2_min, args.x2_max, args.x2_steps):
             writer.writerow([f"{x1:.12g}", f"{x2:.12g}",
-                             f"{real_slice_residual(float(x1), float(x2), args.a):.12g}"])
+                             f"{real_slice_residual(x1, x2, args.a):.12g}"])
     return None
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import herm_product, standard_lifts
+from .hermitian import _is_null, herm_product, standard_lifts
 from .numeric import NumericConfig, resolve
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -124,16 +124,19 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     if m not in (3, 4):
         raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
     n = lifts[0].n
+    scales = []
     for P in lifts:
         if P.n != n:
             raise DimensionMismatch("lifts live in different dimensions")
-        if not P.is_null(c):
+        s = P.scale()
+        if not _is_null(P.coords.tolist(), s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {herm_product(P, P)}")
+        scales.append(s)
     entries = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(i + 1, m):
             g = herm_product(lifts[i], lifts[j])
-            if abs(g) <= c.tol(lifts[i].scale() * lifts[j].scale()):
+            if abs(g) <= c.tol(scales[i] * scales[j]):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             entries[i, j] = g
             entries[j, i] = g.conjugate()
@@ -151,21 +154,22 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
     c = resolve(cfg)
     if G.m != 4:
         raise InvalidParameter("normalization is defined for quadruples (m=4)")
-    e = G.entries
-    scale = float(np.max(np.abs(e)))
-    lam = np.ones(4, dtype=complex)
+    e = G.entries.tolist()
+    scale = max(abs(v) for row in e for v in row)
+    lam = [1 + 0j] * 4
     for (i, j) in ((0, 1), (1, 2), (2, 3)):
-        cur = lam[i] * e[i, j]
+        cur = lam[i] * e[i][j]
         if abs(cur) <= c.tol(scale * abs(lam[i])):
             raise DegenerateEntry(f"entry ({i + 1},{j + 1}) too small to normalize")
         lam[j] = (1.0 / cur).conjugate()
-    g13 = lam[0] * lam[2].conjugate() * e[0, 2]
+    g13 = lam[0] * lam[2].conjugate() * e[0][2]
     if abs(g13) <= c.tol(scale * abs(lam[0] * lam[2])):
         raise DegenerateEntry("entry (1,3) too small to normalize")
     a = 1.0 / math.sqrt(abs(g13))
-    lam *= np.array([a, 1.0 / a, a, 1.0 / a])
-    scaled = lam[:, None] * lam.conjugate()[None, :] * e
-    return NormalizedGram(scaled[0, 2], scaled[0, 3], scaled[1, 3])
+    lam = [v * r for v, r in zip(lam, (a, 1.0 / a, a, 1.0 / a))]
+    return NormalizedGram(lam[0] * lam[2].conjugate() * e[0][2],
+                          lam[0] * lam[3].conjugate() * e[0][3],
+                          lam[1] * lam[3].conjugate() * e[1][3])
 
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:

@@ -117,6 +117,35 @@ class HermitianVector:
         return cls(int(obj["n"]), np.array(coords))
 
 
+def _json_field(obj, key: str, path: str):
+    """obj[key] of the JSON object found at path in the input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return obj[key]
+
+
+def _json_list(value, path: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list")
+    return value
+
+
+def _json_number(value, path: str) -> float:
+    """A JSON number as a float; strings, booleans and null are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: expected a number")
+    return float(value)
+
+
+def _json_complex(value, path: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex number."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{path}: expected [re, im]")
+    return complex(_json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]"))
+
+
 def _form(z, w) -> complex:
     """<z, w> on two equally long coordinate lists of Python complex numbers."""
     acc = z[0] * w[-1].conjugate() + z[-1] * w[0].conjugate()
@@ -177,12 +206,16 @@ class BoundaryPoint:
         return {"type": "finite", "z": [[v.real, v.imag] for v in self.z], "t": self.t}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BoundaryPoint":
-        if obj["type"] == "infinity":
+    def from_json(cls, obj: dict, path: str = "point") -> "BoundaryPoint":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        kind = _json_field(obj, "type", path)
+        if kind == "infinity":
             return cls.infinity()
-        if obj["type"] == "finite":
-            return cls.finite([complex(re, im) for re, im in obj["z"]], obj["t"])
-        raise ValueError(f"unknown point type {obj['type']!r}")
+        if kind == "finite":
+            z = _json_list(_json_field(obj, "z", path), f"{path}.z")
+            return cls.finite([_json_complex(v, f"{path}.z[{k}]") for k, v in enumerate(z)],
+                              _json_number(_json_field(obj, "t", path), f"{path}.t"))
+        raise ValueError(f"{path}.type: unknown point type {kind!r}")
 
 
 def _lift(p: BoundaryPoint, n: int) -> list:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 from .errors import CartanOutOfRange, ZeroCrossRatio
 from .gram import FACES, NormalizedGram, det_face, gram_of
-from .hermitian import HermitianVector, standard_lifts
+from .hermitian import (HermitianVector, _json_complex, _json_field, _json_number,
+                        standard_lifts)
 from .numeric import NumericConfig, resolve
 
 HALF_PI = math.pi / 2.0
@@ -116,8 +117,11 @@ class ModuliPoint:
                 "a": self.cartan}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ModuliPoint":
-        return cls(complex(*obj["x1"]), complex(*obj["x2"]), float(obj["a"]))
+    def from_json(cls, obj: dict, path: str = "moduli") -> "ModuliPoint":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        return cls(_json_complex(_json_field(obj, "x1", path), f"{path}.x1"),
+                   _json_complex(_json_field(obj, "x2", path), f"{path}.x2"),
+                   _json_number(_json_field(obj, "a", path), f"{path}.a"))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import json
 import math
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from chquad import default_config
-from chquad.cli import main
+from chquad.cli import _grid, main
 
 
 def run(capsys, *argv):
@@ -230,3 +232,103 @@ def test_slice_bad_flags_exit_two_without_header(capsys, flag, value):
     code, out = run(capsys, "slice", "--a=0", f"{flag}={value}")
     assert code == 2
     assert strict_json(out)["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--x1-min=1e200", "--x1-max=1e200"),
+    ("--x1-min=1.3e154", "--x1-max=1.3e154", "--x2-min=1.3e154", "--x2-max=1.3e154",
+     "--x1-steps=1", "--x2-steps=1"),
+    ("--x2-min=-1e300", "--x2-steps=0"),
+])
+def test_slice_overflowing_bounds_exit_two_without_header(capsys, bounds):
+    code, out = run(capsys, "slice", "--a=0", *bounds)
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+def test_slice_large_finite_bounds_stay_finite(capsys):
+    code, out = run(capsys, "slice", "--a=0.3", "--x1-min=-1e153", "--x1-max=1e153",
+                    "--x2-min=-1e153", "--x2-max=1e153", "--x1-steps=3", "--x2-steps=3")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 9
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
+
+
+@pytest.mark.parametrize("start,stop,steps", [
+    (-1.0, 3.0, 0), (-1.0, 3.0, 1), (-1.0, 3.0, 2), (-1.0, 3.0, 81), (2.5, 2.5, 7),
+    (-3.5, -0.25, 11), (3.0, -1.0, 81), (0.1, -0.7, 2), (0.0, 5e-324, 3),
+])
+def test_grid_matches_linspace(start, stop, steps):
+    assert list(_grid(start, stop, steps)) == np.linspace(start, stop, steps).tolist()
+
+
+def test_grid_is_lazy():
+    steps = 10**12
+    head = list(islice(_grid(-1.0, 3.0, steps), 3))
+    assert head == [k * (4.0 / (steps - 1)) - 1.0 for k in range(3)]
+
+
+@pytest.mark.parametrize("command,text", [
+    ("reconstruct", '{"n": 100000000, "moduli": {"x1": [0.5, 0], "x2": [0.5, 0], "a": -1.5}}'),
+    ("reconstruct", '{"n": 1025, "moduli": {"x1": [0.5, 0], "x2": [0.5, 0], "a": -1.5}}'),
+    ("check-moduli", '{"n": 100000000, "moduli": {"x1": [0.5, 0], "x2": [0.5, 0], "a": -1.5}}'),
+])
+def test_dimension_above_max_exits_two(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize("n", ["1025", "100000000"])
+def test_sample_dimension_above_max_exits_two(capsys, n):
+    code, out = run(capsys, "sample", "--n", n)
+    assert code == 2
+    assert strict_json(out)["error"] == "malformed-input"
+
+
+FINE = '{"type": "finite", "z": [[1, 0]], "t": 0}'
+
+
+def quadruple_text(*points):
+    return '{"points": [' + ", ".join(points) + "]}"
+
+
+MALFORMED_POINTS = [
+    ("invariants", quadruple_text('{"type": "finite", "z": [[0.5, 0, 1]], "t": 0}',
+                                  FINE, FINE, '{"type": "infinity"}'),
+     "points[0].z[0]: expected [re, im]"),
+    ("invariants", quadruple_text(FINE, '{"type": "finite", "z": [["a", 0]], "t": 0}',
+                                  FINE, FINE),
+     "points[1].z[0][0]: expected a number"),
+    ("invariants", quadruple_text(FINE, '{"type": "finite", "z": [[1, 0]], "t": "nan"}',
+                                  FINE, FINE),
+     "points[1].t: expected a number"),
+    ("invariants", quadruple_text(FINE, FINE, '{"z": [[1, 0]], "t": 0}', FINE),
+     "points[2]: missing key 'type'"),
+    ("invariants", quadruple_text(FINE, FINE, FINE, "[1, 2]"),
+     "points[3]: expected an object"),
+    ("invariants", '{"points": {}}', "points: expected a list"),
+    ("congruent", '{"first": ' + quadruple_text(FINE, FINE, FINE, FINE)
+     + ', "second": ' + quadruple_text(FINE, FINE, '{"type": "finite", "z": 1, "t": 0}', FINE)
+     + "}",
+     "second.points[2].z: expected a list"),
+    ("congruent", '{"first": ' + quadruple_text(FINE, FINE, FINE, FINE) + "}",
+     "input: missing key 'second'"),
+    ("check-moduli", '{"n": 2, "moduli": {"x1": [0.5, 0], "x2": [0.5, 0], "a": "nan"}}',
+     "moduli.a: expected a number"),
+]
+
+
+@pytest.mark.parametrize("command,text,where",
+                         [pytest.param(*case, id=case[2]) for case in MALFORMED_POINTS])
+def test_malformed_point_names_json_path(tmp_path, capsys, command, text, where):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out = run(capsys, command, "--input", str(path))
+    assert code == 2
+    error = strict_json(out)
+    assert error["error"] == "malformed-input"
+    assert error["detail"] == where
