@@ -6,7 +6,9 @@ Subcommands compose: `reconstruct` output feeds `invariants` and
 object; `sample` emits one quadruple per line for `invariants` or
 `congruent`.  Exit codes: 0 success, 1 domain error (machine-readable
 {"error", "detail"} on stdout), 2 malformed input, whose detail names
-the JSON path that failed (e.g. `points[0].z[0]: expected [re, im]`).
+the JSON path that failed (e.g. `points[0].z[0]: expected [re, im]`),
+141 (128 + SIGPIPE) when the reader closes standard output early, as
+`chquad sample ... | head -1` does; nothing is written to stderr then.
 A dimension n above MAX_N = 1024 (`reconstruct`, `check-moduli`,
 `sample --n`) is malformed input: four points span at most a CH^3.
 """
@@ -17,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,8 +115,8 @@ def _cmd_invariants(args):
 
 def _cmd_normalize(args):
     obj = _read_json(args)
-    lifts = [HermitianVector.from_json(v) for v in obj["lifts"]]
-    G = gram_of(lifts)
+    lifts = _json_list(_json_field(obj, "lifts", "input"), "lifts")
+    G = gram_of([HermitianVector.from_json(v, f"lifts[{k}]") for k, v in enumerate(lifts)])
     return {"gram": G.to_json(), "normalized": normalize(G).to_json()}
 
 
@@ -164,8 +167,10 @@ def _cmd_sample(args):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     _bounded_n(args.n, "--n")
-    seeds = np.random.SeedSequence(args.seed).spawn(args.count)
-    for index, child in enumerate(seeds):
+    # one child per record, as spawn(count) would give, without holding count children
+    root = np.random.SeedSequence(args.seed)
+    for index in range(args.count):
+        (child,) = root.spawn(1)
         points = random_quadruple(args.n, args.kind, np.random.default_rng(child))
         line = {"n": args.n, "kind": args.kind, "seed": args.seed, "index": index}
         line.update(_quadruple_json(args.n, points))
@@ -269,6 +274,8 @@ def main(argv=None) -> int:
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))
         return 1
+    except BrokenPipeError:
+        raise  # the reader has gone; there is no one to send an error record to
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, OSError,
             OverflowError) as e:
         print(json.dumps({"error": "malformed-input", "detail": str(e)}))
@@ -281,7 +288,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python ignores SIGPIPE, so a closed pipe surfaces as this exception;
+        # stdout now points nowhere so that the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE, the status of a process the signal ended
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ Hermitian products of boundary points are taken.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import _is_null, herm_product, standard_lifts
+from .hermitian import _form, _is_null, standard_lifts
 from .numeric import NumericConfig, resolve
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -36,32 +37,46 @@ FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Hermitian m x m matrix of pairwise products of null lifts (m = 3 or 4)."""
+    """Hermitian m x m matrix of pairwise products of null lifts (m = 3 or 4).
+
+    ``entries`` is a read-only complex array; ``rows`` holds the same
+    values as a tuple of tuples of Python complex numbers, which is what
+    the readers of the matrix index.  The checks use ``cfg`` (the
+    default config when None).
+    """
 
     m: int
     entries: np.ndarray
+    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m not in (3, 4):
-            raise InvalidParameter(f"only 3x3 and 4x4 Gram matrices are supported, got m={self.m}")
+        m = self.m
+        if m not in (3, 4):
+            raise InvalidParameter(f"only 3x3 and 4x4 Gram matrices are supported, got m={m}")
         entries = np.array(self.entries, dtype=complex)
-        if entries.shape != (self.m, self.m):
-            raise DimensionMismatch(f"expected shape {(self.m, self.m)}, got {entries.shape}")
-        cfg = resolve(None)
-        scale = float(np.max(np.abs(entries)))
-        if np.max(np.abs(entries - entries.conj().T)) > cfg.tol(scale):
+        if entries.shape != (m, m):
+            raise DimensionMismatch(f"expected shape {(m, m)}, got {entries.shape}")
+        rows = tuple(map(tuple, entries.tolist()))
+        flat = [v for row in rows for v in row]
+        if not all(map(cmath.isfinite, flat)):
+            raise InvalidParameter("Gram matrix entries must be finite")
+        tol = resolve(self.cfg).tol(max(map(abs, flat)))
+        if any(abs(rows[i][j] - rows[j][i].conjugate()) > tol
+               for i in range(m) for j in range(i, m)):
             raise InvalidParameter("Gram matrix must be Hermitian")
-        if np.max(np.abs(np.diag(entries))) > cfg.tol(scale):
+        if any(abs(rows[i][i]) > tol for i in range(m)):
             raise NotNull("Gram diagonal must vanish (lifts must be isotropic)")
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                if abs(entries[i, j]) <= cfg.tol(scale):
+        for i in range(m):
+            for j in range(i + 1, m):
+                if abs(rows[i][j]) <= tol:
                     raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", rows)
 
     def to_json(self) -> list:
-        return [[[v.real, v.imag] for v in row] for row in self.entries]
+        return [[[v.real, v.imag] for v in row] for row in self.rows]
 
     @classmethod
     def from_json(cls, rows: list) -> "GramMatrix":
@@ -123,24 +138,22 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     m = len(lifts)
     if m not in (3, 4):
         raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
-    n = lifts[0].n
-    scales = []
-    for P in lifts:
-        if P.n != n:
-            raise DimensionMismatch("lifts live in different dimensions")
-        s = P.scale()
-        if not _is_null(P.coords.tolist(), s, c):
-            raise NotNull(f"lift is not isotropic: <P,P> = {herm_product(P, P)}")
-        scales.append(s)
-    entries = np.zeros((m, m), dtype=complex)
+    if any(P.n != lifts[0].n for P in lifts):
+        raise DimensionMismatch("lifts live in different dimensions")
+    coords = [P.coords.tolist() for P in lifts]
+    scales = [P.scale() for P in lifts]
+    for z, s in zip(coords, scales):
+        if not _is_null(z, s, c):
+            raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
+    rows = [[0j] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            g = herm_product(lifts[i], lifts[j])
+            g = _form(coords[i], coords[j])
             if abs(g) <= c.tol(scales[i] * scales[j]):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
-            entries[i, j] = g
-            entries[j, i] = g.conjugate()
-    return GramMatrix(m, entries)
+            rows[i][j] = g
+            rows[j][i] = g.conjugate()
+    return GramMatrix(m, rows, c)
 
 
 def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:
@@ -154,7 +167,7 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
     c = resolve(cfg)
     if G.m != 4:
         raise InvalidParameter("normalization is defined for quadruples (m=4)")
-    e = G.entries.tolist()
+    e = G.rows
     scale = max(abs(v) for row in e for v in row)
     lam = [1 + 0j] * 4
     for (i, j) in ((0, 1), (1, 2), (2, 3)):

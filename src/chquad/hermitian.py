@@ -80,8 +80,10 @@ class HermitianVector:
         object.__setattr__(self, "coords", coords)
 
     def scale(self) -> float:
-        """Largest coordinate magnitude."""
-        return float(np.max(np.abs(self.coords)))
+        """Largest coordinate magnitude; NaN if any magnitude is NaN."""
+        mags = [abs(v) for v in self.coords.tolist()]
+        total = sum(mags)  # NaN exactly when some magnitude is; max() keeps a NaN only if first
+        return total if math.isnan(total) else max(mags)
 
     def scaled(self, factor: complex) -> "HermitianVector":
         return HermitianVector(self.n, self.coords * factor)
@@ -112,9 +114,11 @@ class HermitianVector:
         return {"n": self.n, "coords": [[z.real, z.imag] for z in self.coords]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HermitianVector":
-        coords = [complex(re, im) for re, im in obj["coords"]]
-        return cls(int(obj["n"]), np.array(coords))
+    def from_json(cls, obj: dict, path: str = "lift") -> "HermitianVector":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        n = int(_json_field(obj, "n", path))
+        coords = _json_list(_json_field(obj, "coords", path), f"{path}.coords")
+        return cls(n, [_json_complex(v, f"{path}.coords[{k}]") for k, v in enumerate(coords)])
 
 
 def _json_field(obj, key: str, path: str):

@@ -59,15 +59,15 @@ def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
     return _clamp_cartan(cmath.phase(-(g[i][j] * g[j][k] * g[k][i])), resolve(cfg))
 
 
-def _quadruple_gram(points, cfg: NumericConfig | None) -> list:
+def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
     """Rows of the Gram matrix of an ordered quadruple's standard lifts."""
     p1, p2, p3, p4 = points  # rejects any other number of points
-    return gram_of(standard_lifts((p1, p2, p3, p4)), cfg).entries.tolist()
+    return gram_of(standard_lifts((p1, p2, p3, p4)), cfg).rows
 
 
 def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVector,
                       cfg: NumericConfig | None = None) -> float:
-    return _cartan(gram_of((P1, P2, P3), cfg).entries.tolist(), 0, 1, 2, cfg)
+    return _cartan(gram_of((P1, P2, P3), cfg).rows, 0, 1, 2, cfg)
 
 
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
@@ -76,7 +76,7 @@ def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).entries.tolist(), 0, 1, 2, 3)
+    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).rows, 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:

@@ -60,7 +60,7 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
 
 
 def _product_table(points, cfg: NumericConfig) -> dict:
-    g = gram_of(standard_lifts(points), cfg).entries.tolist()
+    g = gram_of(standard_lifts(points), cfg).rows
     return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
             for i in range(4) for j in range(i + 1, 4)}
 

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chquad import default_config
-from chquad.cli import _grid, main
+from chquad import default_config, random_quadruple
+from chquad.cli import _grid, _quadruple_json, main
 
 
 def run(capsys, *argv):
@@ -332,3 +336,76 @@ def test_malformed_point_names_json_path(tmp_path, capsys, command, text, where)
     error = strict_json(out)
     assert error["error"] == "malformed-input"
     assert error["detail"] == where
+
+
+LIFT = '{"n": 1, "coords": [[1, 0], [0, 0]]}'
+
+MALFORMED_LIFTS = [
+    ('{"lifts": [{"n": 1, "coords": [[0, 0], [1, 0, 2]]}, ' + LIFT + "]}",
+     "lifts[0].coords[1]: expected [re, im]"),
+    ('{"lifts": [' + LIFT + ', {"n": 1, "coords": [["a", 0], [1, 0]]}]}',
+     "lifts[1].coords[0][0]: expected a number"),
+    ('{"lifts": [' + LIFT + ", " + LIFT + ', {"n": 1, "coords": 5}]}',
+     "lifts[2].coords: expected a list"),
+    ('{"lifts": [' + LIFT + ', {"n": 1}]}', "lifts[1]: missing key 'coords'"),
+    ('{"lifts": [' + LIFT + ", [1, 2]]}", "lifts[1]: expected an object"),
+    ('{"lifts": {}}', "lifts: expected a list"),
+    ('{"gram": []}', "input: missing key 'lifts'"),
+]
+
+
+@pytest.mark.parametrize("text,where",
+                         [pytest.param(*case, id=case[1]) for case in MALFORMED_LIFTS])
+def test_malformed_lift_names_json_path(tmp_path, capsys, text, where):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out = run(capsys, "normalize", "--input", str(path))
+    assert code == 2
+    error = strict_json(out)
+    assert error["error"] == "malformed-input"
+    assert error["detail"] == where
+
+
+def test_sample_spawns_one_seed_per_record(capsys, monkeypatch):
+    spawned = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    code, out = run(capsys, "sample", "--n", "2", "--kind", "c_plane", "--count", "5",
+                    "--seed", "4")
+    monkeypatch.undo()
+    assert code == 0
+    assert spawned == [1] * 5
+    # the children spawn(5) gives at once, so the records are those of an up-front spawn
+    for index, (line, child) in enumerate(zip(out.splitlines(),
+                                              np.random.SeedSequence(4).spawn(5))):
+        points = random_quadruple(2, "c_plane", np.random.default_rng(child))
+        want = {"n": 2, "kind": "c_plane", "seed": 4, "index": index}
+        want.update(_quadruple_json(2, points))
+        assert line == json.dumps(want, allow_nan=False)
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "chquad.cli", "sample", "--n", "2",
+                             "--count", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away after one line, as `head -1` does
+        status = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert json.loads(first)["index"] == 0
+    assert status == 141
+    assert "Traceback" not in stderr and stderr == ""
