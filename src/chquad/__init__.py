@@ -73,7 +73,7 @@ from .moduli import (
     reconstruct,
     residual_scale,
 )
-from .numeric import NumericConfig, close, default_config, resolve, set_default_config, small
+from .numeric import NumericConfig, close, resolve, small
 from .sampling import (
     random_boundary_point,
     random_chain_moduli,

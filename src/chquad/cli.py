@@ -44,7 +44,7 @@ from .moduli import (
     real_slice_residual,
     reconstruct,
 )
-from .numeric import NumericConfig, default_config, set_default_config
+from .numeric import NumericConfig
 from .sampling import KINDS, random_quadruple
 from .varieties import certify_noninjectivity
 
@@ -100,46 +100,46 @@ def _quadruple_json(n: int, points) -> dict:
     return {"n": n, "points": [p.to_json() for p in points]}
 
 
-def _cmd_invariants(args):
+def _cmd_invariants(args, cfg):
     obj = _read_json(args)
     points = _points_from_json(obj)
     n = infer_dimension(points)
-    m = moduli_coordinates(points)
+    m = moduli_coordinates(points, cfg)
     return {
         "n": n,
         "moduli": m.to_json(),
-        "cross_ratios": cross_ratio_triple(points).to_json(),
-        "classification": classify(m).to_json(),
+        "cross_ratios": cross_ratio_triple(points, cfg).to_json(),
+        "classification": classify(m, cfg).to_json(),
     }
 
 
-def _cmd_normalize(args):
+def _cmd_normalize(args, cfg):
     obj = _read_json(args)
     lifts = _json_list(_json_field(obj, "lifts", "input"), "lifts")
-    G = gram_of([HermitianVector.from_json(v, f"lifts[{k}]") for k, v in enumerate(lifts)])
-    return {"gram": G.to_json(), "normalized": normalize(G).to_json()}
+    G = gram_of([HermitianVector.from_json(v, f"lifts[{k}]") for k, v in enumerate(lifts)], cfg)
+    return {"gram": G.to_json(), "normalized": normalize(G, cfg).to_json()}
 
 
-def _cmd_reconstruct(args):
+def _cmd_reconstruct(args, cfg):
     obj = _read_json(args)
     n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
-    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"))
-    lifts = reconstruct(m, n)
-    points = [point_from_lift(P) for P in lifts]
+    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"), "moduli", cfg)
+    lifts = reconstruct(m, n, cfg)
+    points = [point_from_lift(P, cfg) for P in lifts]
     out = _quadruple_json(n, points)
     out["moduli"] = m.to_json()
     out["lifts"] = [P.to_json() for P in lifts]
     return out
 
 
-def _cmd_check_moduli(args):
+def _cmd_check_moduli(args, cfg):
     obj = _read_json(args)
     n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
-    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"))
+    m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"), "moduli", cfg)
     return {
         "n": n,
         "moduli": m.to_json(),
-        "member": in_moduli_space(m, n),
+        "member": in_moduli_space(m, n, cfg),
         "residuals": {
             "defining": moduli_residual(m),
             "positivity": _positivity(m),
@@ -147,23 +147,23 @@ def _cmd_check_moduli(args):
     }
 
 
-def _cmd_congruent(args):
+def _cmd_congruent(args, cfg):
     obj = _read_json(args)
     p = _points_from_json(_json_field(obj, "first", "input"), "first")
     q = _points_from_json(_json_field(obj, "second", "input"), "second")
     return {
-        "holomorphic": congruent_holomorphic(p, q),
-        "antiholomorphic": congruent_antiholomorphic(p, q),
+        "holomorphic": congruent_holomorphic(p, q, cfg),
+        "antiholomorphic": congruent_antiholomorphic(p, q, cfg),
     }
 
 
-def _cmd_counterexample(args):
+def _cmd_counterexample(args, cfg):
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
-    return certify_noninjectivity(args.t).to_json()
+    return certify_noninjectivity(args.t, cfg).to_json()
 
 
-def _cmd_sample(args):
+def _cmd_sample(args, cfg):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     _bounded_n(args.n, "--n")
@@ -178,7 +178,7 @@ def _cmd_sample(args):
     return None
 
 
-def _cmd_slice(args):
+def _cmd_slice(args, cfg):
     for flag in ("a", "x1_min", "x1_max", "x2_min", "x2_max"):
         value = getattr(args, flag)
         if not math.isfinite(value):
@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "in complex hyperbolic n-space.",
     )
     parser.add_argument("--tol", type=float, default=None,
-                        help="override both tolerance knobs for this command")
+                        help="abs_tol and rel_tol of the config passed to every call")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="quadruple -> moduli, cross-ratios, classification")
@@ -263,13 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    previous = default_config()
     try:
-        if args.tol is not None:
-            if not 0.0 < args.tol < math.inf:
-                raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-            set_default_config(NumericConfig(abs_tol=args.tol, rel_tol=args.tol))
-        payload = args.handler(args)
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+        cfg = NumericConfig() if args.tol is None else NumericConfig(args.tol, args.tol)
+        payload = args.handler(args, cfg)
         text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False)
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))
@@ -280,8 +278,6 @@ def main(argv=None) -> int:
             OverflowError) as e:
         print(json.dumps({"error": "malformed-input", "detail": str(e)}))
         return 2
-    finally:
-        set_default_config(previous)
     if text is not None:
         print(text)
     return 0

@@ -79,41 +79,47 @@ class GramMatrix:
         return [[[v.real, v.imag] for v in row] for row in self.rows]
 
     @classmethod
-    def from_json(cls, rows: list) -> "GramMatrix":
+    def from_json(cls, rows: list, cfg: NumericConfig | None = None) -> "GramMatrix":
         entries = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return cls(len(rows), entries)
+        return cls(len(rows), entries, cfg)
 
 
 @dataclass(frozen=True)
 class NormalizedGram:
-    """The normal form: only g13, g14, g24 are free; |g13| = 1."""
+    """The normal form: only g13, g14, g24 are free; |g13| = 1; checked with ``cfg``."""
 
     g13: complex
     g14: complex
     g24: complex
+    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        cfg = resolve(None)
+        cfg = resolve(self.cfg)
         object.__setattr__(self, "g13", complex(self.g13))
         object.__setattr__(self, "g14", complex(self.g14))
         object.__setattr__(self, "g24", complex(self.g24))
         if abs(abs(self.g13) - 1.0) > cfg.tol(1.0):
             raise NotNormalForm(f"|g13| must be 1, got {abs(self.g13)}")
-        if abs(self.g14) <= cfg.abs_tol or abs(self.g24) <= cfg.abs_tol:
+        r14 = abs(self.g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
+        if r14 == 0.0 or cfg.abs_tol * r14 >= 1.0 or abs(self.g24) <= cfg.abs_tol * r14:
             raise DegenerateEntry("g14 and g24 must be nonzero in a normal form")
+
+    @property
+    def rows(self) -> tuple:
+        """The full 4x4 matrix this normal form stands for, as Python complex rows."""
+        g13, g14, g24 = self.g13, self.g14, self.g24
+        return ((0j, 1 + 0j, g13, g14),
+                (1 + 0j, 0j, 1 + 0j, g24),
+                (g13.conjugate(), 1 + 0j, 0j, 1 + 0j),
+                (g14.conjugate(), g24.conjugate(), 1 + 0j, 0j))
 
     def matrix(self) -> np.ndarray:
         """The full 4x4 matrix this normal form stands for."""
-        g13, g14, g24 = self.g13, self.g14, self.g24
-        return np.array([
-            [0, 1, g13, g14],
-            [1, 0, 1, g24],
-            [g13.conjugate(), 1, 0, 1],
-            [g14.conjugate(), g24.conjugate(), 1, 0],
-        ], dtype=complex)
+        return np.array(self.rows)
 
     def conjugate(self) -> "NormalizedGram":
-        return NormalizedGram(self.g13.conjugate(), self.g14.conjugate(), self.g24.conjugate())
+        return NormalizedGram(self.g13.conjugate(), self.g14.conjugate(), self.g24.conjugate(),
+                              self.cfg)
 
     def isclose(self, other: "NormalizedGram", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
@@ -128,8 +134,8 @@ class NormalizedGram:
                 "g24": [self.g24.real, self.g24.imag]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "NormalizedGram":
-        return cls(complex(*obj["g13"]), complex(*obj["g14"]), complex(*obj["g24"]))
+    def from_json(cls, obj: dict, cfg: NumericConfig | None = None) -> "NormalizedGram":
+        return cls(complex(*obj["g13"]), complex(*obj["g14"]), complex(*obj["g24"]), cfg)
 
 
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
@@ -182,7 +188,7 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
     lam = [v * r for v, r in zip(lam, (a, 1.0 / a, a, 1.0 / a))]
     return NormalizedGram(lam[0] * lam[2].conjugate() * e[0][2],
                           lam[0] * lam[3].conjugate() * e[0][3],
-                          lam[1] * lam[3].conjugate() * e[1][3])
+                          lam[1] * lam[3].conjugate() * e[1][3], c)
 
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:
@@ -199,23 +205,27 @@ def det_gram(G: NormalizedGram) -> float:
             + abs(g14) ** 2 + abs(g24) ** 2 + 1.0)
 
 
+def _triple(g, i, j, k) -> complex:
+    """g_ij g_jk g_ki, read off Gram rows g (0-based): the face's Hermitian triple product."""
+    return g[i][j] * g[j][k] * g[k][i]
+
+
+def _face_det(g, face) -> float:
+    """Determinant of the principal minor of Gram rows g on a 1-based face: 2 Re of its triple."""
+    i, j, k = face
+    return 2.0 * _triple(g, i - 1, j - 1, k - 1).real
+
+
 def det_face(G: NormalizedGram, face) -> float:
     """Determinant of the 3x3 principal minor picked out by a face.
 
-    Faces are the 1-based triples (1,2,3), (1,2,4), (1,3,4), (2,3,4);
-    for actual configurations all four values are <= 0 and vanish
-    exactly when the face lies on a chain.
+    Faces are the 1-based triples of ``FACES``. For actual configurations
+    all four values are <= 0 and vanish exactly when the face lies on a chain.
     """
     face = tuple(face)
-    if face == (1, 2, 3):
-        return 2.0 * G.g13.conjugate().real
-    if face == (1, 2, 4):
-        return 2.0 * (G.g24 * G.g14.conjugate()).real
-    if face == (1, 3, 4):
-        return 2.0 * (G.g13 * G.g14.conjugate()).real
-    if face == (2, 3, 4):
-        return 2.0 * G.g24.conjugate().real
-    raise InvalidFace(f"face must be one of {FACES}, got {face}")
+    if face not in FACES:
+        raise InvalidFace(f"face must be one of {FACES}, got {face}")
+    return _face_det(G.rows, FACES[FACES.index(face)])
 
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:

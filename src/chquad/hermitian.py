@@ -20,7 +20,7 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,10 +262,11 @@ def point_from_lift(Z: HermitianVector, cfg: NumericConfig | None = None) -> Bou
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """A holomorphic isometry, stored as a J-unitary matrix acting on lifts."""
+    """A holomorphic isometry: a J-unitary matrix acting on lifts, checked with ``cfg``."""
 
     n: int
     matrix: np.ndarray
+    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -278,13 +279,13 @@ class Isometry:
         J = form_matrix(self.n)
         residual = np.max(np.abs(mat.conj().T @ J @ mat - J))
         scale = (self.n + 1) * float(np.max(np.abs(mat))) ** 2
-        if residual > resolve(None).tol(scale):
+        if residual > resolve(self.cfg).tol(scale):
             raise NotIsometry(f"matrix does not preserve the form (residual {residual:.3e})")
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         if self.n != other.n:
             raise DimensionMismatch("cannot compose isometries of different dimension")
-        return Isometry(self.n, self.matrix @ other.matrix)
+        return Isometry(self.n, self.matrix @ other.matrix, self.cfg)
 
 
 def apply_isometry(g: Isometry, Z: HermitianVector) -> HermitianVector:

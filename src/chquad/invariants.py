@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CartanOutOfRange, ZeroCrossRatio
-from .gram import FACES, NormalizedGram, det_face, gram_of
+from .gram import FACES, NormalizedGram, _face_det, _triple, gram_of
 from .hermitian import (HermitianVector, _json_complex, _json_field, _json_number,
                         standard_lifts)
 from .numeric import NumericConfig, resolve
@@ -56,7 +56,7 @@ def _cross_ratio(g, i, j, k, l) -> complex:
 
 def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
     """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based)."""
-    return _clamp_cartan(cmath.phase(-(g[i][j] * g[j][k] * g[k][i])), resolve(cfg))
+    return _clamp_cartan(cmath.phase(-_triple(g, i, j, k)), resolve(cfg))
 
 
 def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
@@ -89,15 +89,16 @@ class ModuliPoint:
     """Moduli coordinates (X1, X2, A) of a quadruple class.
 
     ``cartan`` is the Cartan invariant of the first face (p1, p2, p3),
-    in radians.
+    in radians.  The checks use ``cfg`` (the default config when None).
     """
 
     x1: complex
     x2: complex
     cartan: float
+    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        cfg = resolve(None)
+        cfg = resolve(self.cfg)
         object.__setattr__(self, "x1", complex(self.x1))
         object.__setattr__(self, "x2", complex(self.x2))
         object.__setattr__(self, "cartan", float(self.cartan))
@@ -117,11 +118,12 @@ class ModuliPoint:
                 "a": self.cartan}
 
     @classmethod
-    def from_json(cls, obj: dict, path: str = "moduli") -> "ModuliPoint":
+    def from_json(cls, obj: dict, path: str = "moduli",
+                  cfg: NumericConfig | None = None) -> "ModuliPoint":
         """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
         return cls(_json_complex(_json_field(obj, "x1", path), f"{path}.x1"),
                    _json_complex(_json_field(obj, "x2", path), f"{path}.x2"),
-                   _json_number(_json_field(obj, "a", path), f"{path}.a"))
+                   _json_number(_json_field(obj, "a", path), f"{path}.a"), cfg)
 
 
 @dataclass(frozen=True)
@@ -164,20 +166,20 @@ def cross_ratio_triple(points, cfg: NumericConfig | None = None) -> CrossRatioTr
 def _moduli(g, cfg: NumericConfig | None) -> ModuliPoint:
     """(X1, X2, A) read off the rows of any Gram matrix of the quadruple."""
     return ModuliPoint(_cross_ratio(g, 0, 1, 2, 3), _cross_ratio(g, 0, 2, 1, 3),
-                       _cartan(g, 0, 1, 2, cfg))
+                       _cartan(g, 0, 1, 2, cfg), cfg)
 
 
 def moduli_from_gram(G: NormalizedGram, cfg: NumericConfig | None = None) -> ModuliPoint:
     """Read (X1, X2, A) off a Gram normal form."""
-    return _moduli(G.matrix().tolist(), cfg)
+    return _moduli(G.rows, cfg)
 
 
 def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
-    """Rebuild the Gram normal form from (X1, X2, A)."""
+    """Rebuild the Gram normal form from (X1, X2, A), with m's config."""
     g13 = -cmath.exp(-1j * m.cartan)
     g14 = 1.0 / m.x2.conjugate()
     g24 = -(m.x1.conjugate() / m.x2.conjugate()) * cmath.exp(1j * m.cartan)
-    return NormalizedGram(g13, g14, g24)
+    return NormalizedGram(g13, g14, g24, m.cfg)
 
 
 def _defining_function(x1: complex, x2: complex, a: float) -> float:
@@ -195,7 +197,7 @@ def det_from_moduli(m: ModuliPoint) -> float:
 def face_dets_from_moduli(m: ModuliPoint) -> tuple:
     """The four face determinants in moduli coordinates.
 
-    Order matches ``gram.FACES``: (1,2,3), (1,2,4), (1,3,4), (2,3,4).
+    Order matches ``gram.FACES``.
     """
-    G = gram_from_moduli(m)
-    return tuple(det_face(G, face) for face in FACES)
+    g = gram_from_moduli(m).rows
+    return tuple(_face_det(g, face) for face in FACES)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
-from .gram import det_face
+from .gram import _face_det
 from .hermitian import HermitianVector
 from .invariants import (HALF_PI, ModuliPoint, _defining_function, _moduli, _quadruple_gram,
                          face_dets_from_moduli, gram_from_moduli)
@@ -109,13 +109,11 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
         raise NotInModuliSpace(f"{m} is not realized by any quadruple in dimension {n}")
 
     a = min(max(m.cartan, -HALF_PI), HALF_PI)
-    G = gram_from_moduli(ModuliPoint(m.x1, m.x2, a))
-    z1 = G.g13.conjugate()
-    w1 = G.g14.conjugate()
-    w_last = G.g24.conjugate()
+    g = gram_from_moduli(ModuliPoint(m.x1, m.x2, a, c)).rows
+    z1, w1, w_last = g[2][0], g[3][0], g[3][1]  # conj(g13), conj(g14), conj(g24)
 
-    zz = -det_face(G, (1, 2, 3))
-    ww = -det_face(G, (1, 2, 4))
+    zz = -_face_det(g, (1, 2, 3))
+    ww = -_face_det(g, (1, 2, 4))
     ww_slack = 2.0 * c.tol(abs(m.x1)) / abs(m.x2) ** 2 + c.abs_tol
     if zz < 0.0 or ww < -ww_slack:
         raise InconsistentGram("negative squared norm; input is off the moduli space")

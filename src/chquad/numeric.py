@@ -1,10 +1,14 @@
 """Floating-point tolerance policy.
 
-All comparisons in the package route through a single ``NumericConfig``
-so that the one knob (--tol on the CLI) controls every threshold.
-Checks against a quantity with a natural scale use
-``abs_tol + rel_tol * scale`` where the scale is the largest magnitude
-involved.
+Every comparison in the package takes a ``NumericConfig`` from its
+caller; ``None`` stands for ``DEFAULT``, and there is no process-wide
+setting.  Values (``GramMatrix``, ``NormalizedGram``, ``ModuliPoint``,
+``Isometry``) validate with the config they were built with: a
+function passes its own to every value it builds, and a value derived
+from another (a conjugate, a composite, the normal form of a moduli
+point) keeps that value's.  Checks against a quantity with a natural
+scale use ``abs_tol + rel_tol * scale`` where the scale is the largest
+magnitude involved.
 """
 
 from __future__ import annotations
@@ -21,30 +25,18 @@ class NumericConfig:
         return self.abs_tol + self.rel_tol * abs(scale)
 
 
-_default = NumericConfig()
-
-
-def default_config() -> NumericConfig:
-    return _default
-
-
-def set_default_config(cfg: NumericConfig) -> None:
-    """Replace the process-wide default (CLI --tol)."""
-    global _default
-    _default = cfg
+DEFAULT = NumericConfig()
 
 
 def resolve(cfg: NumericConfig | None) -> NumericConfig:
-    return _default if cfg is None else cfg
+    return DEFAULT if cfg is None else cfg
 
 
 def close(a: complex, b: complex, cfg: NumericConfig | None = None) -> bool:
     """Scale-aware equality for real or complex scalars."""
-    c = resolve(cfg)
-    return abs(a - b) <= c.tol(max(abs(a), abs(b)))
+    return abs(a - b) <= resolve(cfg).tol(max(abs(a), abs(b)))
 
 
 def small(x: complex, scale: float = 1.0, cfg: NumericConfig | None = None) -> bool:
     """Is |x| negligible against the given scale?"""
-    c = resolve(cfg)
-    return abs(x) <= c.tol(scale)
+    return abs(x) <= resolve(cfg).tol(scale)

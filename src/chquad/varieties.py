@@ -122,7 +122,7 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
     if not anti:
         raise CertificateFailure("antiholomorphically-congruent",
                                  "mirror congruence missing")
-    if not mp.isclose(ModuliPoint(mq.x1, mq.x2, -mq.cartan), c):
+    if not mp.isclose(ModuliPoint(mq.x1, mq.x2, -mq.cartan, c), c):
         raise CertificateFailure("opposite-cartan",
                                  f"moduli {mp} vs {mq}")
     return Certificate(

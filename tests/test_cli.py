@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chquad import default_config, random_quadruple
+from chquad import random_quadruple
 from chquad.cli import _grid, _quadruple_json, main
 
 
@@ -160,8 +160,6 @@ def test_tol_flag(tmp_path, capsys):
     assert json.loads(out)["member"] is False
     code, out = run(capsys, "--tol", "1e-2", "check-moduli", "--input", path)
     assert json.loads(out)["member"] is True
-    from chquad import NumericConfig, set_default_config
-    set_default_config(NumericConfig())
 
 
 @pytest.mark.parametrize("argv", [
@@ -179,11 +177,20 @@ def test_bad_numeric_flags_exit_two(capsys, argv):
     assert json.loads(out)["error"] == "malformed-input"
 
 
-def test_tol_flag_restores_default_config(capsys):
-    before = default_config()
-    code, _ = run(capsys, "--tol", "1e-2", "counterexample", "--t", "2")
-    assert code == 0
-    assert default_config() == before
+def test_no_process_wide_config():
+    import chquad
+    assert not hasattr(chquad, "set_default_config")
+    assert not hasattr(chquad, "default_config")
+
+
+def test_tol_flag_does_not_leak(tmp_path, capsys):
+    # the point test_tol_flag moves into the moduli space with --tol 1e-2
+    from chquad import ModuliPoint, in_moduli_space
+    moduli = {"x1": [0.5, 0.0], "x2": [0.5001, 0.0], "a": -math.pi / 2}
+    path = write(tmp_path, "m.json", {"n": 2, "moduli": moduli})
+    code, out = run(capsys, "--tol", "1e-2", "check-moduli", "--input", path)
+    assert code == 0 and json.loads(out)["member"] is True
+    assert in_moduli_space(ModuliPoint(0.5, 0.5001, -math.pi / 2), 2) is False
 
 
 def strict_json(text):

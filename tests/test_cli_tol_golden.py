@@ -1,0 +1,36 @@
+"""CLI stdout and exit codes of the six JSON commands under each --tol.
+
+``cli_tol_golden.json`` holds, for each input, the exit status and
+stdout of the command with no ``--tol``, with ``--tol 1e-2`` and with
+``--tol 1e-12``, recorded while ``--tol`` still worked by swapping a
+process-wide default config.  Passing the config explicitly to every
+call must give the same bytes.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from chquad.cli import main
+
+CASES = json.loads((Path(__file__).parent / "cli_tol_golden.json").read_text())
+RUNS = [(case, tol) for case in CASES for tol in ("default", "1e-2", "1e-12")]
+
+
+@pytest.mark.parametrize("case,tol", RUNS, ids=[f"{c['id']}-tol={t}" for c, t in RUNS])
+def test_cli_output_matches_golden(tmp_path, capsys, case, tol):
+    argv = ([] if tol == "default" else ["--tol", tol]) + case["argv"]
+    if case["input"] is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(case["input"]))
+        argv += ["--input", str(path)]
+    code = main(argv)
+    want = case["runs"][tol]
+    assert (code, capsys.readouterr().out) == (want["code"], want["stdout"])
+
+
+def test_golden_covers_every_json_command():
+    commands = {case["argv"][0] for case in CASES}
+    assert commands == {"invariants", "normalize", "reconstruct", "check-moduli", "congruent",
+                        "counterexample"}
