@@ -29,7 +29,8 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import _form, _is_null, standard_lifts
+from .hermitian import (_complex_values, _form, _is_null, _numpy_shape, _read_only,
+                        standard_lifts)
 from .numeric import NumericConfig, resolve
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -39,29 +40,30 @@ FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 class GramMatrix:
     """Hermitian m x m matrix of pairwise products of null lifts (m = 3 or 4).
 
-    ``entries`` is a read-only complex array; ``rows`` holds the same
-    values as a tuple of tuples of Python complex numbers, which is what
-    the readers of the matrix index.  The checks use ``cfg`` (the
-    default config when None).
+    ``rows`` stores the entries as a tuple of tuples of Python complex
+    numbers, which is what the readers of the matrix index; ``entries``
+    is a read-only complex array built from them on each access, and
+    ``scale`` is the largest entry magnitude.  The checks use ``cfg``
+    (the default config when None).
     """
 
     m: int
-    entries: np.ndarray
+    rows: tuple = field(repr=False)
     cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
-    rows: tuple = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         m = self.m
         if m not in (3, 4):
             raise InvalidParameter(f"only 3x3 and 4x4 Gram matrices are supported, got m={m}")
-        entries = np.array(self.entries, dtype=complex)
-        if entries.shape != (m, m):
-            raise DimensionMismatch(f"expected shape {(m, m)}, got {entries.shape}")
-        rows = tuple(map(tuple, entries.tolist()))
+        rows = _complex_values(self.rows, (m, m))
+        if rows is None:
+            raise DimensionMismatch(f"expected shape {(m, m)}, got {_numpy_shape(self.rows)}")
         flat = [v for row in rows for v in row]
         if not all(map(cmath.isfinite, flat)):
             raise InvalidParameter("Gram matrix entries must be finite")
-        tol = resolve(self.cfg).tol(max(map(abs, flat)))
+        scale = max(map(abs, flat))
+        tol = resolve(self.cfg).tol(scale)
         if any(abs(rows[i][j] - rows[j][i].conjugate()) > tol
                for i in range(m) for j in range(i, m)):
             raise InvalidParameter("Gram matrix must be Hermitian")
@@ -71,17 +73,19 @@ class GramMatrix:
             for j in range(i + 1, m):
                 if abs(rows[i][j]) <= tol:
                     raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _read_only(self.rows)
 
     def to_json(self) -> list:
         return [[[v.real, v.imag] for v in row] for row in self.rows]
 
     @classmethod
     def from_json(cls, rows: list, cfg: NumericConfig | None = None) -> "GramMatrix":
-        entries = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return cls(len(rows), entries, cfg)
+        return cls(len(rows), [[complex(re, im) for re, im in row] for row in rows], cfg)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
         raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
     if any(P.n != lifts[0].n for P in lifts):
         raise DimensionMismatch("lifts live in different dimensions")
-    coords = [P.coords.tolist() for P in lifts]
+    coords = [P.values for P in lifts]
     scales = [P.scale() for P in lifts]
     for z, s in zip(coords, scales):
         if not _is_null(z, s, c):
@@ -174,15 +178,14 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
     if G.m != 4:
         raise InvalidParameter("normalization is defined for quadruples (m=4)")
     e = G.rows
-    scale = max(abs(v) for row in e for v in row)
     lam = [1 + 0j] * 4
     for (i, j) in ((0, 1), (1, 2), (2, 3)):
         cur = lam[i] * e[i][j]
-        if abs(cur) <= c.tol(scale * abs(lam[i])):
+        if abs(cur) <= c.tol(G.scale * abs(lam[i])):
             raise DegenerateEntry(f"entry ({i + 1},{j + 1}) too small to normalize")
         lam[j] = (1.0 / cur).conjugate()
     g13 = lam[0] * lam[2].conjugate() * e[0][2]
-    if abs(g13) <= c.tol(scale * abs(lam[0] * lam[2])):
+    if abs(g13) <= c.tol(G.scale * abs(lam[0] * lam[2])):
         raise DegenerateEntry("entry (1,3) too small to normalize")
     a = 1.0 / math.sqrt(abs(g13))
     lam = [v * r for v, r in zip(lam, (a, 1.0 / a, a, 1.0 / a))]

@@ -63,37 +63,43 @@ def signature_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianVector:
-    """A vector of C^{n,1}, typically a (null) lift of a boundary point."""
+    """A vector of C^{n,1}, typically a (null) lift of a boundary point.
+
+    ``values`` stores the coordinates as a tuple of Python complex
+    numbers; ``coords`` is a read-only complex array built from them on
+    each access.
+    """
 
     n: int
-    coords: np.ndarray
+    values: tuple
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"n must be >= 1, got {self.n}")
-        coords = np.array(self.coords, dtype=complex)
-        if coords.shape != (self.n + 1,):
-            raise DimensionMismatch(
-                f"expected {self.n + 1} coordinates for n={self.n}, got shape {coords.shape}"
-            )
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+        values = _complex_values(self.values, (self.n + 1,))
+        if values is None:
+            raise DimensionMismatch(f"expected {self.n + 1} coordinates for n={self.n}, "
+                                    f"got shape {_numpy_shape(self.values)}")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def coords(self) -> np.ndarray:
+        return _read_only(self.values)
 
     def scale(self) -> float:
         """Largest coordinate magnitude; NaN if any magnitude is NaN."""
-        mags = [abs(v) for v in self.coords.tolist()]
-        total = sum(mags)  # NaN exactly when some magnitude is; max() keeps a NaN only if first
-        return total if math.isnan(total) else max(mags)
+        return _scale(self.values)
 
     def scaled(self, factor: complex) -> "HermitianVector":
+        # numpy's complex product, whose last bit differs from Python's for some values
         return HermitianVector(self.n, self.coords * factor)
 
     def conjugated(self) -> "HermitianVector":
         """Image under the standard anti-holomorphic involution Z -> conj(Z)."""
-        return HermitianVector(self.n, np.conj(self.coords))
+        return HermitianVector(self.n, [v.conjugate() for v in self.values])
 
     def is_null(self, cfg: NumericConfig | None = None) -> bool:
-        return _is_null(self.coords.tolist(), self.scale(), resolve(cfg))
+        return _is_null(self.values, self.scale(), resolve(cfg))
 
     def proportional_to(self, other: "HermitianVector",
                         cfg: NumericConfig | None = None) -> bool:
@@ -101,17 +107,17 @@ class HermitianVector:
         if self.n != other.n:
             return False
         c = resolve(cfg)
-        i = int(np.argmax(np.abs(self.coords)))
-        if abs(self.coords[i]) == 0.0:
+        mags = [abs(v) for v in self.values]
+        i = mags.index(max(mags))
+        if mags[i] == 0.0:
             return other.scale() <= c.abs_tol
-        if abs(other.coords[i]) <= c.tol(other.scale()):
+        zi, wi = self.values[i], other.values[i]
+        if not abs(wi) > c.tol(other.scale()):  # also when other's scale is NaN
             return False
-        a = self.coords / self.coords[i]
-        b = other.coords / other.coords[i]
-        return float(np.max(np.abs(a - b))) <= c.tol(1.0)
+        return all(abs(z / zi - w / wi) <= c.tol(1.0) for z, w in zip(self.values, other.values))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "coords": [[z.real, z.imag] for z in self.coords]}
+        return {"n": self.n, "coords": [[z.real, z.imag] for z in self.values]}
 
     @classmethod
     def from_json(cls, obj: dict, path: str = "lift") -> "HermitianVector":
@@ -150,24 +156,75 @@ def _json_complex(value, path: str) -> complex:
     return complex(_json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]"))
 
 
+def _complex_row(values) -> tuple:
+    if isinstance(values, str):  # numpy reads a string as one scalar, not as its characters
+        raise TypeError("expected a sequence of numbers")
+    return tuple(map(complex, values))
+
+
+def _complex_values(values, shape: tuple) -> tuple | None:
+    """values as a tuple of Python complex numbers (for a 2-D shape, a tuple of such rows).
+
+    None when values have another shape, which ``_numpy_shape`` then names;
+    numpy only unpacks an ndarray here.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    try:
+        out = _complex_row(values) if len(shape) == 1 else tuple(map(_complex_row, values))
+    except TypeError:  # a nested entry, or one that is not a number
+        if _numpy_shape(values) == shape:
+            raise
+        return None
+    if len(out) != shape[0] or (len(shape) == 2 and any(len(row) != shape[1] for row in out)):
+        return None
+    return out
+
+
+def _numpy_shape(values) -> tuple:
+    """The shape numpy reads in values, for the error message of a wrong shape."""
+    return np.array(values, dtype=complex).shape
+
+
+def _read_only(values) -> np.ndarray:
+    """A fresh read-only complex array of a tuple (of tuples) of Python complex numbers."""
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
 def _form(z, w) -> complex:
-    """<z, w> on two equally long coordinate lists of Python complex numbers."""
+    """<z, w> on two equally long coordinate sequences of Python complex numbers."""
     acc = z[0] * w[-1].conjugate() + z[-1] * w[0].conjugate()
     for i in range(1, len(z) - 1):
         acc += z[i] * w[i].conjugate()
     return acc
 
 
+def _scale(z) -> float:
+    """Largest magnitude in a coordinate sequence; NaN if any magnitude is NaN."""
+    mags = [abs(v) for v in z]
+    total = sum(mags)  # NaN exactly when some magnitude is; max() keeps a NaN only if first
+    return total if math.isnan(total) else max(mags)
+
+
 def _is_null(z, s: float, c: NumericConfig) -> bool:
-    """Is <z, z> negligible against s^2, where s is the largest coordinate magnitude?"""
-    return abs(_form(z, z)) <= c.tol(s * s)
+    """Is <z, z> negligible against s^2, where s is the largest coordinate magnitude?
+
+    Raises OverflowError when s is finite but <z, z> is not, as a finite
+    input then has no defined verdict.
+    """
+    form = abs(_form(z, z))
+    if math.isfinite(s) and not math.isfinite(form):
+        raise OverflowError(f"<Z,Z> overflows for coordinates of magnitude {s}")
+    return form <= c.tol(s * s)
 
 
 def herm_product(Z: HermitianVector, W: HermitianVector) -> complex:
     """<Z, W>; conjugate-symmetric and sesquilinear."""
     if Z.n != W.n:
         raise DimensionMismatch(f"products need equal n, got {Z.n} and {W.n}")
-    return _form(Z.coords.tolist(), W.coords.tolist())
+    return _form(Z.values, W.values)
 
 
 @dataclass(frozen=True)
@@ -236,10 +293,10 @@ def _lift(p: BoundaryPoint, n: int) -> list:
     return [-zz + 1j * p.t] + [v * _SQRT2 for v in p.z] + [1 + 0j]
 
 
-def _point(z: list, cfg: NumericConfig | None) -> BoundaryPoint:
-    """Dehomogenize a coordinate list of Python complex numbers (see point_from_lift)."""
+def _point(z, cfg: NumericConfig | None) -> BoundaryPoint:
+    """Dehomogenize a coordinate sequence of Python complex numbers (see point_from_lift)."""
     c = resolve(cfg)
-    s = max(abs(v) for v in z)
+    s = _scale(z)
     if s <= c.abs_tol:
         raise ZeroVector("cannot project the zero vector")
     if not _is_null(z, s, c):
@@ -257,7 +314,7 @@ def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:
 
 def point_from_lift(Z: HermitianVector, cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Dehomogenize a null vector back to its boundary point."""
-    return _point(Z.coords.tolist(), cfg)
+    return _point(Z.values, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,4 +396,4 @@ def chordal_distances(coords) -> np.ndarray:
 
 def chordal_distance(Z: HermitianVector, W: HermitianVector) -> float:
     """Chordal distance of the complex lines spanned by Z and W (Euclidean)."""
-    return float(chordal_distances([Z.coords, W.coords])[0, 1])
+    return float(chordal_distances([Z.values, W.values])[0, 1])

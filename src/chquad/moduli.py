@@ -25,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
 from .gram import _face_det
 from .hermitian import HermitianVector
@@ -123,8 +121,8 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     R = 1.0 - z1 * w_last.conjugate() - w1.conjugate()
     det_slack = c.tol(residual_scale(m) / abs(m.x2) ** 2 + 1.0)
 
-    zvec = np.zeros(n - 1, dtype=complex)
-    wvec = np.zeros(n - 1, dtype=complex)
+    zvec = [0j] * (n - 1)
+    wvec = [0j] * (n - 1)
     zvec[0] = z_norm
     if z_norm * w_norm <= c.tol(1.0):
         # a vanishing coordinate forces <z, w> = 0, so R itself must vanish
@@ -139,12 +137,10 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
             wvec[0] = mag * cmath.exp(-1j * cmath.phase(R))
         wvec[1] = math.sqrt(ww - mag * mag)
 
-    P1 = np.zeros(n + 1, dtype=complex)
-    P1[n] = 1.0
-    P2 = np.zeros(n + 1, dtype=complex)
-    P2[0] = 1.0
-    P3 = np.concatenate(([z1], zvec, [1.0]))
-    P4 = np.concatenate(([w1], wvec, [w_last]))
+    P1 = [0j] * n + [1.0]
+    P2 = [1.0] + [0j] * n
+    P3 = [z1, *zvec, 1.0]
+    P4 = [w1, *wvec, w_last]
     return [HermitianVector(n, v) for v in (P1, P2, P3, P4)]
 
 

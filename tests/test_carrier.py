@@ -1,0 +1,151 @@
+"""Lifts and Gram matrices store tuples of Python complex; numpy stays at the array edges."""
+
+import ast
+import cProfile
+import dataclasses
+import math
+import pstats
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chquad
+from chquad import (
+    BoundaryPoint,
+    DimensionMismatch,
+    GramMatrix,
+    HermitianVector,
+    ModuliPoint,
+    apply_isometry,
+    apply_isometry_point,
+    classify,
+    congruent_antiholomorphic,
+    congruent_holomorphic,
+    cross_ratio_triple,
+    gram_of,
+    in_moduli_space,
+    moduli_coordinates,
+    point_from_lift,
+    random_isometry,
+    reconstruct,
+    standard_lift,
+)
+
+QUAD = (BoundaryPoint.finite([0.3 - 0.7j, -1.1 + 0.2j], 0.4),
+        BoundaryPoint.finite([-0.5 + 0.1j, 0.8 + 0.9j], -1.3),
+        BoundaryPoint.infinity(),
+        BoundaryPoint.finite([1.2 + 0.6j, 0.05 - 0.4j], 2.2))
+QUAD2 = (BoundaryPoint.finite([0.4 - 0.9j], 0.7), BoundaryPoint.finite([-1.3 + 0.2j], -0.4),
+         BoundaryPoint.finite([0.6 + 1.1j], 1.9), BoundaryPoint.finite([0.05 - 0.3j], -2.6))
+C_PLANE = ModuliPoint(0.5, 0.5, -math.pi / 2)  # takes reconstruct's zero-coordinate branch
+
+
+def bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def lift_sources():
+    lifts = [standard_lift(p, 3) for p in QUAD]
+    g = random_isometry(3, np.random.default_rng(5))
+    return {
+        "standard_lift": lifts,
+        "reconstruct n=2": reconstruct(moduli_coordinates(QUAD2), 2),
+        "reconstruct n=3": reconstruct(moduli_coordinates(QUAD), 3),
+        "reconstruct C-plane n=2": reconstruct(C_PLANE, 2),
+        "reconstruct C-plane n=3": reconstruct(C_PLANE, 3),
+        "apply_isometry": [apply_isometry(g, P) for P in lifts],
+        "scaled": [P.scaled(0.3 - 1.7j) for P in lifts],
+        "conjugated": [P.conjugated() for P in lifts],
+        "from_json": [HermitianVector.from_json(P.to_json()) for P in lifts],
+        "ndarray": [HermitianVector(2, np.array([1, 2.5, 3j])), HermitianVector(2, np.arange(3))],
+    }
+
+
+@pytest.mark.parametrize("lifts", [pytest.param(v, id=k) for k, v in lift_sources().items()])
+def test_lifts_store_python_complex(lifts):
+    for P in lifts:
+        assert isinstance(P.values, tuple) and len(P.values) == P.n + 1
+        assert all(type(v) is complex for v in P.values)
+        coords = P.coords
+        assert not coords.flags.writeable
+        assert coords.dtype == complex and coords.shape == (P.n + 1,)
+        assert [bits(complex(v)) for v in coords] == [bits(v) for v in P.values]
+
+
+def test_gram_matrix_stores_rows_and_derives_its_scale():
+    G = gram_of([standard_lift(p, 3) for p in QUAD])
+    entries = G.entries
+    assert not entries.flags.writeable and entries.shape == (4, 4)
+    assert [[bits(complex(v)) for v in row] for row in entries] == \
+        [[bits(v) for v in row] for row in G.rows]
+    assert GramMatrix(4, G.entries).rows == G.rows
+    assert GramMatrix(4, [list(row) for row in G.rows]).rows == G.rows
+    assert G.scale == max(abs(v) for row in G.rows for v in row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.scale = 1.0
+    with pytest.raises(TypeError):
+        GramMatrix(4, G.rows, None, 1.0)
+
+
+@pytest.mark.parametrize("coords,message", [
+    ([[1, 0, 0]], "expected 3 coordinates for n=2, got shape (1, 3)"),
+    ([1, 0], "expected 3 coordinates for n=2, got shape (2,)"),
+    ("123", "expected 3 coordinates for n=2, got shape ()"),
+])
+def test_malformed_coordinates_name_their_shape(coords, message):
+    with pytest.raises(DimensionMismatch) as info:
+        HermitianVector(2, coords)
+    assert str(info.value) == message
+
+
+def test_a_none_coordinate_is_rejected():
+    with pytest.raises(TypeError):
+        HermitianVector(2, [None, 0, 0])
+
+
+def test_proportional_to_edge_cases():
+    Z = HermitianVector(2, [1j, 0, 1])
+    assert Z.proportional_to(Z.scaled(-2.5 + 1j))
+    assert not Z.proportional_to(HermitianVector(2, [1j, 0, 2]))
+    assert not Z.proportional_to(HermitianVector(2, [math.nan, 0, 0]))
+    assert HermitianVector(2, [0, 0, 0]).proportional_to(HermitianVector(2, [0, 0, 0]))
+
+
+def numpy_calls(fn) -> int:
+    """Calls of numpy functions and of ndarray.tolist/setflags while fn runs."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return sum(stat[1] for (filename, _, name), stat in pstats.Stats(profile).stats.items()
+               if "numpy" in filename or "numpy" in name or "tolist" in name
+               or "setflags" in name)
+
+
+def test_invariants_and_roundtrip_ops_call_no_numpy():
+    m = moduli_coordinates(QUAD)
+    g = random_isometry(3, np.random.default_rng(6))
+    moved = tuple(apply_isometry_point(g, p) for p in QUAD)
+    mirrored = tuple(p.mirror() for p in QUAD)
+
+    def invariants_op():
+        m = moduli_coordinates(QUAD)
+        return cross_ratio_triple(QUAD), classify(m), in_moduli_space(m, 3)
+
+    def roundtrip_op():
+        rebuilt = tuple(point_from_lift(P) for P in reconstruct(m, 3))
+        return (congruent_holomorphic(QUAD, rebuilt), congruent_holomorphic(QUAD, moved),
+                congruent_antiholomorphic(QUAD, mirrored))
+
+    assert numpy_calls(invariants_op) == 0
+    assert numpy_calls(roundtrip_op) == 0
+
+
+def test_numpy_is_imported_only_at_the_array_edges():
+    importers = set()
+    for path in Path(chquad.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"hermitian.py", "gram.py", "sampling.py", "cli.py"}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chquad import random_quadruple
+from chquad import counterexample_pair, random_quadruple, standard_lift
 from chquad.cli import _grid, _quadruple_json, main
 
 
@@ -229,8 +229,19 @@ def test_overflow_exits_two(tmp_path, capsys):
 
 def test_non_finite_output_exits_two(capsys, monkeypatch):
     import chquad.cli as cli
-    monkeypatch.setattr(cli, "_cmd_counterexample", lambda args: {"value": math.nan})
+    monkeypatch.setattr(cli, "_cmd_counterexample", lambda args, cfg: {"value": math.nan})
     code, out = run(capsys, "counterexample", "--t", "2")
+    assert code == 2
+    record = strict_json(out)
+    assert record["error"] == "malformed-input"
+    assert record["detail"].startswith("Out of range float values are not JSON compliant")
+
+
+def test_overflowing_lift_products_exit_two(tmp_path, capsys):
+    # valid null lifts whose products overflow: <P,P> would be inf - inf = NaN, not a verdict
+    points = counterexample_pair(2.0)[0]
+    lifts = [standard_lift(p, 2).scaled(1e160).to_json() for p in points]
+    code, out = run(capsys, "normalize", "--input", write(tmp_path, "l.json", {"lifts": lifts}))
     assert code == 2
     assert strict_json(out)["error"] == "malformed-input"
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_point_from_lift_errors():
         point_from_lift(vec(2, 0, 0, 0))
     with pytest.raises(NotNull):
         point_from_lift(vec(2, 1, 0, 1))
+
+
+def test_null_test_raises_on_overflow():
+    # <Z,Z> = 2e355 overflows to inf, which tol(s * s) = inf would call null
+    with pytest.raises(OverflowError):
+        vec(2, 1e200, 0, 1e155).is_null()
+    with pytest.raises(OverflowError):
+        point_from_lift(vec(2, 1e200, 0, 1e155))
+    assert vec(2, 1e200, 0, 0).is_null()  # its form is a finite 0
+    for coords in ((1, math.nan, 0), (math.nan, 1, 0)):  # NaN is not an overflow
+        with pytest.raises(NotNull):
+            point_from_lift(vec(2, *coords))
 
 
 def test_round_trip():
