@@ -22,8 +22,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import GeometryError
 from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of, normalize
 from .hermitian import (
@@ -164,6 +162,8 @@ def _cmd_counterexample(args, cfg):
 
 
 def _cmd_sample(args, cfg):
+    import numpy as np
+
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     _bounded_n(args.n, "--n")

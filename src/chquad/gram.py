@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoincidentPoints,
@@ -29,9 +28,12 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import (_complex_values, _form, _is_null, _numpy_shape, _read_only,
-                        standard_lifts)
+from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_list,
+                        _numpy_shape, _read_only, standard_lifts)
 from .numeric import NumericConfig, resolve
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
@@ -85,7 +87,11 @@ class GramMatrix:
 
     @classmethod
     def from_json(cls, rows: list, cfg: NumericConfig | None = None) -> "GramMatrix":
-        return cls(len(rows), [[complex(re, im) for re, im in row] for row in rows], cfg)
+        """Parse to_json output; a malformed entry raises ValueError naming its JSON path."""
+        rows = _json_list(rows, "gram")
+        return cls(len(rows), [[_json_complex(v, f"gram[{i}][{j}]")
+                                for j, v in enumerate(_json_list(row, f"gram[{i}]"))]
+                               for i, row in enumerate(rows)], cfg)
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,8 @@ class NormalizedGram:
                 (g14.conjugate(), g24.conjugate(), 1 + 0j, 0j))
 
     def matrix(self) -> np.ndarray:
-        """The full 4x4 matrix this normal form stands for."""
-        return np.array(self.rows)
+        """The full 4x4 matrix this normal form stands for, read-only."""
+        return _read_only(self.rows)
 
     def conjugate(self) -> "NormalizedGram":
         return NormalizedGram(self.g13.conjugate(), self.g14.conjugate(), self.g24.conjugate(),

@@ -14,15 +14,17 @@ point sits at infinity.  Standard lifts:
     (z, t)    ->  (-|z|^2 + i t,  z * sqrt(2),  1)
     infinity  ->  (1, 0, ..., 0)
 
-All values are immutable; all operations are pure functions.
+All values are immutable; all operations are pure functions.  Lifts
+store Python complex numbers, so numpy is imported only by the
+functions that build or read arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoincidentPoints,
@@ -33,11 +35,16 @@ from .errors import (
 )
 from .numeric import NumericConfig, resolve
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SQRT2 = math.sqrt(2.0)
 
 
 def form_matrix(n: int) -> np.ndarray:
     """Matrix J of the form, so that <Z, W> = conj(W) . (J Z)."""
+    import numpy as np
+
     J = np.zeros((n + 1, n + 1), dtype=complex)
     J[0, n] = 1.0
     J[n, 0] = 1.0
@@ -52,6 +59,8 @@ def signature_basis(n: int) -> np.ndarray:
     Columns are (e_1 + e_{n+1})/sqrt(2), e_2, ..., e_n and
     (e_1 - e_{n+1})/sqrt(2); exhibits the (n, 1) signature directly.
     """
+    import numpy as np
+
     C = np.zeros((n + 1, n + 1), dtype=complex)
     C[0, 0] = C[n, 0] = 1.0 / _SQRT2
     for i in range(1, n):
@@ -168,7 +177,8 @@ def _complex_values(values, shape: tuple) -> tuple | None:
     None when values have another shape, which ``_numpy_shape`` then names;
     numpy only unpacks an ndarray here.
     """
-    if isinstance(values, np.ndarray):
+    np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
+    if np is not None and isinstance(values, np.ndarray):
         values = values.tolist()
     try:
         out = _complex_row(values) if len(shape) == 1 else tuple(map(_complex_row, values))
@@ -181,13 +191,25 @@ def _complex_values(values, shape: tuple) -> tuple | None:
     return out
 
 
-def _numpy_shape(values) -> tuple:
-    """The shape numpy reads in values, for the error message of a wrong shape."""
-    return np.array(values, dtype=complex).shape
+def _numpy_shape(values) -> tuple | str:
+    """The shape numpy reads in values, for the error message of a wrong shape.
+
+    "ragged" when nested sequences differ in length, which numpy refuses.
+    """
+    import numpy as np
+
+    try:
+        return np.array(values, dtype=complex).shape
+    except ValueError:
+        if isinstance(values, str):  # a string that complex() cannot read, not a nesting
+            raise
+        return "ragged"
 
 
 def _read_only(values) -> np.ndarray:
     """A fresh read-only complex array of a tuple (of tuples) of Python complex numbers."""
+    import numpy as np
+
     array = np.array(values)
     array.setflags(write=False)
     return array
@@ -326,17 +348,21 @@ class Isometry:
     cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (self.n + 1, self.n + 1):
             raise DimensionMismatch(
                 f"expected a {self.n + 1}x{self.n + 1} matrix, got {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise NotIsometry("matrix entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         J = form_matrix(self.n)
         residual = np.max(np.abs(mat.conj().T @ J @ mat - J))
         scale = (self.n + 1) * float(np.max(np.abs(mat))) ** 2
-        if residual > resolve(self.cfg).tol(scale):
+        if not residual <= resolve(self.cfg).tol(scale):  # a NaN residual fails too
             raise NotIsometry(f"matrix does not preserve the form (residual {residual:.3e})")
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
@@ -354,6 +380,8 @@ def apply_isometry(g: Isometry, Z: HermitianVector) -> HermitianVector:
 def apply_isometry_point(g: Isometry, p: BoundaryPoint,
                          cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Move a boundary point: lift, act, dehomogenize."""
+    import numpy as np
+
     return _point((g.matrix @ np.array(_lift(p, g.n))).tolist(), cfg)
 
 
@@ -385,6 +413,8 @@ def chordal_distances(coords) -> np.ndarray:
     Euclidean: sqrt(1 - |<z_i, z_j>|^2 / (|z_i|^2 |z_j|^2)) with the
     standard inner product of C^{n+1}; 0 wherever a row vanishes.
     """
+    import numpy as np
+
     L = np.asarray(coords, dtype=complex)
     # entry by entry, so that a pair's distance does not depend on the other rows
     products = (L.conj()[:, None, :] * L[None, :, :]).sum(axis=2)

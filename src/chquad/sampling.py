@@ -3,30 +3,36 @@
 Coordinates are drawn from standard normals (a documented but
 arbitrary choice; nothing downstream may depend on the distribution,
 only on validity).  Every function is deterministic given a seed, and
-callers own their generator streams.
+callers own their generator streams.  numpy is imported by the
+functions that draw, so that importing the module (for ``KINDS``, say)
+does not load it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateBasis, InvalidParameter, ResamplingExhausted
 from .hermitian import BoundaryPoint, Isometry, _lift, chordal_distances, signature_basis
 from .invariants import HALF_PI, ModuliPoint
 from .moduli import moduli_residual, residual_scale
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DISTINCTNESS = 1e-6
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
 
 KINDS = ("generic", "c_plane", "r_plane", "subspace2")
-_PAIRS = np.triu_indices(4, 1)
+_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))  # np.triu_indices(4, 1): the six pairs
 
 
 def _rng(seed) -> np.random.Generator:
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -98,7 +104,7 @@ def random_quadruple(n: int, kind: str, rng):
     gen = _rng(rng)
     for _ in range(MAX_ATTEMPTS):
         points = _draw_quadruple(n, kind, gen)
-        if np.all(chordal_distances([_lift(p, n) for p in points])[_PAIRS] > DISTINCTNESS):
+        if (chordal_distances([_lift(p, n) for p in points])[_PAIRS] > DISTINCTNESS).all():
             return tuple(points)
     raise ResamplingExhausted(f"no distinct {kind} quadruple after {MAX_ATTEMPTS} draws")
 
@@ -114,6 +120,8 @@ def random_isometry(n: int, rng) -> Isometry:
     stream.  The projections run on Python complex numbers and one
     matrix product assembles the result, which ``Isometry`` validates.
     """
+    import numpy as np
+
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     gen = _rng(rng)

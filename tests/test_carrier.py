@@ -3,8 +3,12 @@
 import ast
 import cProfile
 import dataclasses
+import json
 import math
+import os
 import pstats
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +103,15 @@ def test_malformed_coordinates_name_their_shape(coords, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: HermitianVector(2, [[1, 2], [3]]), id="lift"),
+    pytest.param(lambda: GramMatrix(4, [[0, 1, 1, 1]] * 3 + [[0, 1]]), id="gram"),
+])
+def test_ragged_input_is_a_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        build()
+
+
 def test_a_none_coordinate_is_rejected():
     with pytest.raises(TypeError):
         HermitianVector(2, [None, 0, 0])
@@ -140,12 +153,70 @@ def test_invariants_and_roundtrip_ops_call_no_numpy():
     assert numpy_calls(roundtrip_op) == 0
 
 
-def test_numpy_is_imported_only_at_the_array_edges():
-    importers = set()
-    for path in Path(chquad.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+def numpy_imports(nodes, where="module"):
+    """Where each numpy import among nodes runs: on import of the module ("module"),
+    only for a type checker ("type-checking"), or when a function is called ("function")."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
             if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(path.name)
-    assert importers == {"hermitian.py", "gram.py", "sampling.py", "cli.py"}
+                yield where
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from numpy_imports(ast.iter_child_nodes(node), "function")
+        elif (isinstance(node, ast.If) and where == "module"
+              and ast.unparse(node.test) == "TYPE_CHECKING"):
+            yield from numpy_imports(node.body, "type-checking")
+            yield from numpy_imports(node.orelse, where)
+        else:
+            yield from numpy_imports(ast.iter_child_nodes(node), where)
+
+
+def test_numpy_is_imported_only_at_the_array_edges():
+    in_functions = set()
+    for path in Path(chquad.__file__).parent.glob("*.py"):
+        where = set(numpy_imports(ast.parse(path.read_text()).body))
+        assert "module" not in where, f"{path.name} imports numpy at module level"
+        if "function" in where:
+            in_functions.add(path.name)
+    assert in_functions and in_functions <= {"hermitian.py", "gram.py", "sampling.py", "cli.py"}
+
+
+# Runs each argv through cli.main in one fresh interpreter, then reports the exit codes
+# and whether numpy was loaded, on stderr, as stdout carries the commands' output.
+CLI_SCRIPT = """
+import json, sys
+import chquad, chquad.cli
+codes = [chquad.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def run_cli_fresh(*argvs):
+    env = {**os.environ, "PYTHONPATH": str(Path(chquad.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", CLI_SCRIPT, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_only_sample_loads_numpy(tmp_path):
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return ["--input", str(path)]
+
+    quad = {"n": 3, "points": [p.to_json() for p in QUAD]}
+    moduli = write("moduli.json", {"n": 3, "moduli": moduli_coordinates(QUAD).to_json()})
+    lifts = {"lifts": [standard_lift(p, 3).scaled(0.5 + 2j).to_json() for p in QUAD]}
+    argvs = [
+        ["invariants", *write("quad.json", quad)],
+        ["congruent", *write("pair.json", {"first": quad, "second": quad})],
+        ["check-moduli", *moduli],
+        ["reconstruct", *moduli],
+        ["normalize", *write("lifts.json", lifts)],
+        ["counterexample", "--t", "2"],
+        ["slice", "--a", "0.3", "--x1-steps", "3", "--x2-steps", "3"],
+        ["invariants", *write("malformed.json", '{"n": 2, "points": [')],
+    ]
+    assert run_cli_fresh(*argvs) == {"codes": [0, 0, 0, 0, 0, 0, 0, 2], "numpy": False}
+    sample = ["sample", "--n", "2", "--count", "1"]
+    assert run_cli_fresh(sample) == {"codes": [0], "numpy": True}

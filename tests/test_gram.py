@@ -221,3 +221,23 @@ def test_gram_json_round_trip():
     assert np.allclose(back.entries, G.entries)
     ng = NormalizedGram(-1j, 2.0, 1j)
     assert NormalizedGram.from_json(ng.to_json()).isclose(ng, None)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ([1, 0, 2], "gram[0][1]: expected [re, im]"),
+    ("x", "gram[0][1]: expected [re, im]"),
+    ([1, "0"], "gram[0][1][1]: expected a number"),
+])
+def test_gram_from_json_names_the_malformed_entry(entry, message):
+    rows = GramMatrix(4, [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]).to_json()
+    rows[0][1] = entry
+    with pytest.raises(ValueError) as info:
+        GramMatrix.from_json(rows)
+    assert str(info.value) == message
+
+
+def test_gram_from_json_names_a_row_that_is_not_a_list():
+    with pytest.raises(ValueError, match=r"^gram\[2\]: expected a list$"):
+        GramMatrix.from_json([[[0, 0]] * 3, [[0, 0]] * 3, 7])
+    with pytest.raises(ValueError, match=r"^gram: expected a list$"):
+        GramMatrix.from_json({"rows": []})

@@ -142,6 +142,16 @@ def test_isometry_rejects_non_preserving_matrix():
         Isometry(2, np.diag([2.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_isometry_rejects_non_finite_matrix(value):
+    with pytest.raises(NotIsometry, match="finite"):
+        Isometry(2, np.full((3, 3), value))
+    matrix = np.eye(3, dtype=complex)
+    matrix[1, 2] = value
+    with pytest.raises(NotIsometry, match="finite"):
+        Isometry(2, matrix)
+
+
 def test_isometry_preserves_products():
     rng = np.random.default_rng(4)
     g = random_isometry(3, rng)
