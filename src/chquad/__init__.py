@@ -41,7 +41,6 @@ from .hermitian import (
     Isometry,
     apply_isometry,
     apply_isometry_point,
-    chordal_distance,
     form_matrix,
     herm_product,
     infer_dimension,
@@ -73,7 +72,7 @@ from .moduli import (
     reconstruct,
     residual_scale,
 )
-from .numeric import NumericConfig, close, resolve, small
+from .numeric import NumericConfig, resolve, small
 from .sampling import (
     random_boundary_point,
     random_chain_moduli,

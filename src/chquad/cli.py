@@ -3,14 +3,15 @@
 Complex numbers are always [re, im] pairs and angles are radians.
 Subcommands compose: `reconstruct` output feeds `invariants` and
 `normalize`; `invariants` and `check-moduli` exchange the moduli
-object; `sample` emits one quadruple per line for `invariants` or
-`congruent`.  Exit codes: 0 success, 1 domain error (machine-readable
-{"error", "detail"} on stdout), 2 malformed input, whose detail names
-the JSON path that failed (e.g. `points[0].z[0]: expected [re, im]`),
-141 (128 + SIGPIPE) when the reader closes standard output early, as
-`chquad sample ... | head -1` does; nothing is written to stderr then.
-A dimension n above MAX_N = 1024 (`reconstruct`, `check-moduli`,
-`sample --n`) is malformed input: four points span at most a CH^3.
+object; `sample` emits one quadruple per line for `invariants` (which
+accepts every line at the same `--tol`) or `congruent`.  Exit codes:
+0 success, 1 domain error (machine-readable {"error", "detail"} on
+stdout), 2 malformed input, whose detail names the JSON path that
+failed (e.g. `points[0].z[0]: expected [re, im]`), 141 (128 + SIGPIPE)
+when the reader closes standard output early, as `chquad sample ... |
+head -1` does; nothing is written to stderr then.  A dimension n above
+MAX_N = 1024 (`reconstruct`, `check-moduli`, `sample --n`) is malformed
+input: four points span at most a CH^3.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _cmd_sample(args, cfg):
     root = np.random.SeedSequence(args.seed)
     for index in range(args.count):
         (child,) = root.spawn(1)
-        points = random_quadruple(args.n, args.kind, np.random.default_rng(child))
+        points = random_quadruple(args.n, args.kind, np.random.default_rng(child), cfg)
         line = {"n": args.n, "kind": args.kind, "seed": args.seed, "index": index}
         line.update(_quadruple_json(args.n, points))
         print(json.dumps(line, allow_nan=False))

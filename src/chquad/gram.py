@@ -45,8 +45,8 @@ class GramMatrix:
     ``rows`` stores the entries as a tuple of tuples of Python complex
     numbers, which is what the readers of the matrix index; ``entries``
     is a read-only complex array built from them on each access, and
-    ``scale`` is the largest entry magnitude.  The checks use ``cfg``
-    (the default config when None).
+    ``scale`` is the largest entry magnitude.  A matrix built directly is
+    checked with ``cfg`` (None: the default); one from ``gram_of`` is not.
     """
 
     m: int
@@ -149,7 +149,11 @@ class NormalizedGram:
 
 
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
-    """Gram matrix of three or four null lifts."""
+    """Gram matrix of three or four null lifts.
+
+    Points i and j coincide when |<P_i, P_j>| <= tol(s_i s_j), s_i the largest
+    coordinate magnitude of lift i: the package's one rule for distinct points.
+    """
     c = resolve(cfg)
     m = len(lifts)
     if m not in (3, 4):
@@ -162,14 +166,25 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
         if not _is_null(z, s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
     rows = [[0j] * m for _ in range(m)]
+    mags = []
     for i in range(m):
         for j in range(i + 1, m):
             g = _form(coords[i], coords[j])
-            if abs(g) <= c.tol(scales[i] * scales[j]):
+            mags.append(abs(g))
+            if mags[-1] <= c.tol(scales[i] * scales[j]):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             rows[i][j] = g
             rows[j][i] = g.conjugate()
-    return GramMatrix(m, rows, c)
+    if not all(map(math.isfinite, mags)):
+        raise InvalidParameter("Gram matrix entries must be finite")
+    return _checked_gram(m, tuple(map(tuple, rows)), c, max(mags))
+
+
+def _checked_gram(m: int, rows: tuple, cfg: NumericConfig, scale: float) -> GramMatrix:
+    """A GramMatrix of rows that ``gram_of`` has checked; ``__post_init__`` does not run."""
+    G = object.__new__(GramMatrix)
+    G.__dict__.update(m=m, rows=rows, cfg=cfg, scale=scale)  # frozen: no __setattr__
+    return G
 
 
 def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:

@@ -311,7 +311,13 @@ def _lift(p: BoundaryPoint, n: int) -> list:
         raise DimensionMismatch(
             f"finite point with {len(p.z)} z-coordinates does not live in dimension {n}"
         )
-    zz = sum(abs(v) ** 2 for v in p.z)
+    try:
+        zz = sum(abs(v) ** 2 for v in p.z)
+    except OverflowError:  # a square beyond the float range
+        zz = math.inf
+    if zz == math.inf:
+        big = max(max(abs(v.real), abs(v.imag)) for v in p.z)
+        raise OverflowError(f"|z|^2 overflows for coordinates of magnitude {big}")
     return [-zz + 1j * p.t] + [v * _SQRT2 for v in p.z] + [1 + 0j]
 
 
@@ -355,8 +361,11 @@ class Isometry:
             raise DimensionMismatch(
                 f"expected a {self.n + 1}x{self.n + 1} matrix, got {mat.shape}"
             )
-        if not np.isfinite(mat).all():
+        big = float(np.max(np.abs(mat.view(float))))  # the largest real or imaginary part
+        if not math.isfinite(big):
             raise NotIsometry("matrix entries must be finite")
+        if 4.0 * (self.n + 1) * big * big == math.inf:  # bounds the form check's products
+            raise OverflowError(f"the form check overflows for entries of magnitude {big}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         J = form_matrix(self.n)
@@ -405,25 +414,3 @@ def standard_lifts(points) -> list:
     """Standard lifts of boundary points in their common dimension."""
     n = infer_dimension(points)
     return [standard_lift(p, n) for p in points]
-
-
-def chordal_distances(coords) -> np.ndarray:
-    """Pairwise chordal distances of the complex lines spanned by the rows of coords.
-
-    Euclidean: sqrt(1 - |<z_i, z_j>|^2 / (|z_i|^2 |z_j|^2)) with the
-    standard inner product of C^{n+1}; 0 wherever a row vanishes.
-    """
-    import numpy as np
-
-    L = np.asarray(coords, dtype=complex)
-    # entry by entry, so that a pair's distance does not depend on the other rows
-    products = (L.conj()[:, None, :] * L[None, :, :]).sum(axis=2)
-    sq = products.diagonal().real
-    denom = sq[:, None] * sq[None, :]
-    cos2 = np.divide(np.abs(products) ** 2, denom, out=np.ones_like(denom), where=denom > 0.0)
-    return np.sqrt(np.maximum(0.0, 1.0 - cos2))
-
-
-def chordal_distance(Z: HermitianVector, W: HermitianVector) -> float:
-    """Chordal distance of the complex lines spanned by Z and W (Euclidean)."""
-    return float(chordal_distances([Z.values, W.values])[0, 1])

@@ -32,11 +32,6 @@ def resolve(cfg: NumericConfig | None) -> NumericConfig:
     return DEFAULT if cfg is None else cfg
 
 
-def close(a: complex, b: complex, cfg: NumericConfig | None = None) -> bool:
-    """Scale-aware equality for real or complex scalars."""
-    return abs(a - b) <= resolve(cfg).tol(max(abs(a), abs(b)))
-
-
 def small(x: complex, scale: float = 1.0, cfg: NumericConfig | None = None) -> bool:
     """Is |x| negligible against the given scale?"""
     return abs(x) <= resolve(cfg).tol(scale)

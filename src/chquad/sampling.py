@@ -2,10 +2,10 @@
 
 Coordinates are drawn from standard normals (a documented but
 arbitrary choice; nothing downstream may depend on the distribution,
-only on validity).  Every function is deterministic given a seed, and
-callers own their generator streams.  numpy is imported by the
-functions that draw, so that importing the module (for ``KINDS``, say)
-does not load it.
+only on validity, which ``moduli_coordinates`` decides).  Every
+function is deterministic given a seed, and callers own their
+generator streams.  numpy is imported by the functions that draw, so
+that importing the module (for ``KINDS``, say) does not load it.
 """
 
 from __future__ import annotations
@@ -14,20 +14,20 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateBasis, InvalidParameter, ResamplingExhausted
-from .hermitian import BoundaryPoint, Isometry, _lift, chordal_distances, signature_basis
+from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
+                     ZeroCrossRatio)
+from .hermitian import BoundaryPoint, Isometry, signature_basis
 from .invariants import HALF_PI, ModuliPoint
-from .moduli import moduli_residual, residual_scale
+from .moduli import moduli_coordinates, moduli_residual, residual_scale
+from .numeric import NumericConfig
 
 if TYPE_CHECKING:
     import numpy as np
 
-DISTINCTNESS = 1e-6
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
 
 KINDS = ("generic", "c_plane", "r_plane", "subspace2")
-_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))  # np.triu_indices(4, 1): the six pairs
 
 
 def _rng(seed) -> np.random.Generator:
@@ -89,12 +89,12 @@ def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):
     raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
 
 
-def random_quadruple(n: int, kind: str, rng):
+def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     """Four pairwise-distinct boundary points of the requested kind.
 
-    Draws are redrawn from the same stream until the chordal distances
-    (``hermitian.chordal_distances``) of all six pairs of standard
-    lifts exceed DISTINCTNESS.
+    Redrawn from the same stream until ``moduli_coordinates`` accepts
+    the draw with ``cfg``: no two points coincide by ``gram_of``'s rule,
+    and X1 and X2 pass ``ModuliPoint``'s guard.
     """
     if kind not in KINDS:
         raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
@@ -103,9 +103,12 @@ def random_quadruple(n: int, kind: str, rng):
         raise InvalidParameter(f"kind {kind!r} needs n >= {min_n}, got {n}")
     gen = _rng(rng)
     for _ in range(MAX_ATTEMPTS):
-        points = _draw_quadruple(n, kind, gen)
-        if (chordal_distances([_lift(p, n) for p in points])[_PAIRS] > DISTINCTNESS).all():
-            return tuple(points)
+        points = tuple(_draw_quadruple(n, kind, gen))
+        try:
+            moduli_coordinates(points, cfg)
+        except (CoincidentPoints, ZeroCrossRatio):
+            continue
+        return points
     raise ResamplingExhausted(f"no distinct {kind} quadruple after {MAX_ATTEMPTS} draws")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import CertificateFailure, InvalidParameter, ZeroCrossRatio
+from .errors import CertificateFailure, InvalidParameter
 from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of
 from .hermitian import BoundaryPoint, standard_lifts
 from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
@@ -39,8 +39,6 @@ def variety_residuals(x: CrossRatioTriple):
 
 def project_moduli(m: ModuliPoint) -> CrossRatioTriple:
     """Collapse (X1, X2, A) to the cross-ratio triple via X3 = (X2/X1) e^{2iA}."""
-    if abs(m.x1) == 0.0:
-        raise ZeroCrossRatio("projection needs X1 != 0")
     return CrossRatioTriple(m.x1, m.x2, (m.x2 / m.x1) * cmath.exp(2j * m.cartan))
 
 

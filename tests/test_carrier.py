@@ -125,13 +125,30 @@ def test_proportional_to_edge_cases():
     assert HermitianVector(2, [0, 0, 0]).proportional_to(HermitianVector(2, [0, 0, 0]))
 
 
-def numpy_calls(fn) -> int:
-    """Calls of numpy functions and of ndarray.tolist/setflags while fn runs."""
+def profiled_calls(fn) -> dict:
+    """(filename, line, name) of each function called while fn runs -> its number of calls."""
     profile = cProfile.Profile()
     profile.runcall(fn)
-    return sum(stat[1] for (filename, _, name), stat in pstats.Stats(profile).stats.items()
+    return {key: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
+
+
+def numpy_calls(fn) -> int:
+    """Calls of numpy functions and of ndarray.tolist/setflags while fn runs."""
+    return sum(calls for (filename, _, name), calls in profiled_calls(fn).items()
                if "numpy" in filename or "numpy" in name or "tolist" in name
                or "setflags" in name)
+
+
+def gram_checks(fn) -> int:
+    """Runs of GramMatrix's own checks (its __post_init__) while fn runs."""
+    code = GramMatrix.__post_init__.__code__
+    return sum(calls for (filename, line, _), calls in profiled_calls(fn).items()
+               if (filename, line) == (code.co_filename, code.co_firstlineno))
+
+
+def invariants_op():
+    m = moduli_coordinates(QUAD)
+    return cross_ratio_triple(QUAD), classify(m), in_moduli_space(m, 3)
 
 
 def test_invariants_and_roundtrip_ops_call_no_numpy():
@@ -140,10 +157,6 @@ def test_invariants_and_roundtrip_ops_call_no_numpy():
     moved = tuple(apply_isometry_point(g, p) for p in QUAD)
     mirrored = tuple(p.mirror() for p in QUAD)
 
-    def invariants_op():
-        m = moduli_coordinates(QUAD)
-        return cross_ratio_triple(QUAD), classify(m), in_moduli_space(m, 3)
-
     def roundtrip_op():
         rebuilt = tuple(point_from_lift(P) for P in reconstruct(m, 3))
         return (congruent_holomorphic(QUAD, rebuilt), congruent_holomorphic(QUAD, moved),
@@ -151,6 +164,16 @@ def test_invariants_and_roundtrip_ops_call_no_numpy():
 
     assert numpy_calls(invariants_op) == 0
     assert numpy_calls(roundtrip_op) == 0
+
+
+def test_an_invariants_op_runs_no_gram_matrix_checks():
+    # gram_of decides coincidence once, per pair; GramMatrix does not decide again
+    assert gram_checks(invariants_op) == 0
+
+
+def test_a_directly_built_gram_matrix_runs_its_checks():
+    G = gram_of([standard_lift(p, 3) for p in QUAD])
+    assert gram_checks(lambda: GramMatrix(4, G.rows)) == 1
 
 
 def numpy_imports(nodes, where="module"):

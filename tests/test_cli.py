@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chquad import counterexample_pair, random_quadruple, standard_lift
+from chquad import (BoundaryPoint, counterexample_pair, moduli_coordinates, random_quadruple,
+                    standard_lift)
+from chquad.sampling import KINDS
 from chquad.cli import _grid, _quadruple_json, main
 
 
@@ -96,6 +98,30 @@ def test_sample_lines_feed_invariants(tmp_path, capsys):
         code, out = run(capsys, "invariants", "--input", path)
         assert code == 0
         assert json.loads(out)["classification"]["is_c_plane"] is True
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_every_sampled_r_plane_record_has_moduli(capsys, n):
+    # covers n = 2 records 5879 and 6076 (coincident points) and 9724 (zero cross-ratio)
+    code, out = run(capsys, "sample", "--n", n, "--kind", "r_plane", "--seed", "0",
+                    "--count", "10000")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10000
+    for line in lines:
+        points = json.loads(line)["points"]
+        moduli_coordinates([BoundaryPoint.from_json(p) for p in points])
+
+
+def test_sample_output_feeds_invariants_at_the_same_tol(tmp_path, capsys):
+    for kind in KINDS:
+        code, out = run(capsys, "--tol", "1e-2", "sample", "--n", "3", "--kind", kind,
+                        "--count", "25", "--seed", "3")
+        assert code == 0
+        for line in out.splitlines():
+            path = write(tmp_path, "q.json", json.loads(line))
+            code, record = run(capsys, "--tol", "1e-2", "invariants", "--input", path)
+            assert code == 0, record
 
 
 def test_sample_deterministic(capsys):
@@ -225,6 +251,15 @@ def test_overflow_exits_two(tmp_path, capsys):
     code, out = run(capsys, "check-moduli", "--input", path)
     assert code == 2
     assert strict_json(out)["error"] == "malformed-input"
+
+
+def test_overflowing_lift_exits_two_naming_the_magnitude(tmp_path, capsys):
+    points = [{"type": "finite", "z": [[1e200, 0]], "t": 0}, {"type": "infinity"},
+              {"type": "finite", "z": [[0, 0]], "t": 0}, {"type": "finite", "z": [[1, 0]], "t": 0}]
+    code, out = run(capsys, "invariants", "--input", write(tmp_path, "q.json", {"points": points}))
+    assert code == 2
+    assert strict_json(out) == {"error": "malformed-input",
+                                "detail": "|z|^2 overflows for coordinates of magnitude 1e+200"}
 
 
 def test_non_finite_output_exits_two(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chquad import (
     apply_isometry,
     form_matrix,
     herm_product,
+    moduli_coordinates,
     point_from_lift,
     signature_basis,
     standard_lift,
@@ -96,6 +98,22 @@ def test_null_test_raises_on_overflow():
             point_from_lift(vec(2, *coords))
 
 
+@pytest.mark.parametrize("z,magnitude", [
+    ([1e200], "1e+200"),
+    ([1.5e308 + 1.5e308j], "1.5e+308"),  # |z| itself is beyond the float range
+    ([1e154, -1e154j], "1e+154"),  # each square is finite, their sum is not
+])
+def test_lift_overflow_names_the_magnitude(z, magnitude):
+    p = BoundaryPoint.finite(z, 0.0)
+    n = len(z) + 1
+    with pytest.raises(OverflowError, match=re.escape(f"magnitude {magnitude}") + "$"):
+        standard_lift(p, n)
+    others = [BoundaryPoint.infinity(), BoundaryPoint.finite([0] * (n - 1), 0.0),
+              BoundaryPoint.finite([1] * (n - 1), 0.0)]
+    with pytest.raises(OverflowError, match=re.escape(f"magnitude {magnitude}") + "$"):
+        moduli_coordinates([p, *others])
+
+
 def test_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(300):
@@ -140,6 +158,8 @@ def test_apply_isometry():
 def test_isometry_rejects_non_preserving_matrix():
     with pytest.raises(NotIsometry):
         Isometry(2, np.diag([2.0, 1.0, 1.0]))
+    with pytest.raises(NotIsometry):  # large, but its form check stays finite
+        Isometry(2, np.full((3, 3), 1e150))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -149,6 +169,19 @@ def test_isometry_rejects_non_finite_matrix(value):
     matrix = np.eye(3, dtype=complex)
     matrix[1, 2] = value
     with pytest.raises(NotIsometry, match="finite"):
+        Isometry(2, matrix)
+
+
+@pytest.mark.parametrize("value,magnitude", [
+    (1e160, "1e+160"), (1e200, "1e+200"), (-3e250j, "3e+250"), (1e300 + 1e300j, "1e+300"),
+])
+def test_isometry_overflow_names_the_magnitude(value, magnitude):
+    # the magnitude is checked before the form check's matrix product could overflow
+    with pytest.raises(OverflowError, match=re.escape(f"magnitude {magnitude}") + "$"):
+        Isometry(2, np.full((3, 3), value))
+    matrix = np.eye(3, dtype=complex)
+    matrix[2, 0] = value
+    with pytest.raises(OverflowError, match=re.escape(f"magnitude {magnitude}") + "$"):
         Isometry(2, matrix)
 
 

@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from chquad import (
+    BoundaryPoint,
     InvalidParameter,
+    NumericConfig,
     apply_isometry,
     form_matrix,
     gram_of,
     herm_product,
     in_moduli_space,
+    moduli_coordinates,
     moduli_residual,
     standard_lift,
 )
 from chquad.sampling import (
-    DISTINCTNESS,
+    KINDS,
     random_boundary_point,
     random_chain_moduli,
     random_isometry,
     random_moduli_point,
     random_quadruple,
 )
-from chquad.hermitian import chordal_distance
 
 
 def test_boundary_point_determinism():
@@ -60,14 +62,34 @@ def test_quadruple_determinism():
 
 
 def test_quadruple_distinctness():
+    # distinct means what gram_of and ModuliPoint decide, with the config of the draw
     rng = np.random.default_rng(2)
-    for kind in ("generic", "c_plane", "r_plane", "subspace2"):
-        for _ in range(20):
-            p = random_quadruple(3, kind, rng)
-            lifts = [standard_lift(x, 3) for x in p]
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    assert chordal_distance(lifts[i], lifts[j]) > DISTINCTNESS
+    for cfg in (None, NumericConfig(1e-2, 1e-2), NumericConfig(1e-12, 1e-12)):
+        for kind in KINDS:
+            for n in (2, 3):
+                for _ in range(20):
+                    moduli_coordinates(random_quadruple(n, kind, rng, cfg), cfg)
+
+
+# The x of each point (z = (x, 0, ...), t = 0) of draw 1718 of random_quadruple(2, "r_plane",
+# default_rng(1)) under a chordal-distance rule.  Its |g13| = 4.9e-9 passes gram_of's
+# tol(s1 s3) = 2.9e-9, but not the tol(max |g|) = 5.7e-9 of GramMatrix's own checks.
+# Draws 783 and 1213, whose X1 or X2 is below the default abs_tol, are in test_config.py.
+DRAW_1718 = (-0.973844624346595, -1.4018423690781279, -0.9737744305577112, 0.7728522137124093)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_points_distinct_by_the_pairwise_rule_have_moduli(n):
+    m = moduli_coordinates([BoundaryPoint.finite([x] + [0.0] * (n - 2), 0.0) for x in DRAW_1718])
+    assert 4e-8 < abs(m.x1) < 5e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_r_plane_draw_is_accepted(n):
+    # covers draws 783 and 1213 (ZeroCrossRatio) and 1718 (CoincidentPoints) of that stream
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        moduli_coordinates(random_quadruple(n, "r_plane", rng))
 
 
 def test_quadruple_gram_valid():

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from chquad.cli import main
-from chquad.hermitian import (
-    apply_isometry_point,
-    chordal_distance,
-    chordal_distances,
-    standard_lift,
-)
+from chquad.hermitian import apply_isometry_point
 from chquad.sampling import KINDS, random_isometry, random_moduli_point, random_quadruple
 
 REL = 1e-12
@@ -244,14 +239,3 @@ def test_sample_command_golden(capsys):
 
     assert_close(flat(points(line)), flat(points(want)), REL)
     assert line == want
-
-
-def test_chordal_distance_is_the_pairwise_helper():
-    rng = np.random.default_rng(11)
-    for kind in KINDS:
-        lifts = [standard_lift(p, 3) for p in random_quadruple(3, kind, rng)]
-        D = chordal_distances([P.coords for P in lifts])
-        for i in range(4):
-            assert D[i, i] == 0.0
-            for j in range(4):
-                assert chordal_distance(lifts[i], lifts[j]) == D[i, j]
