@@ -8,8 +8,14 @@ unique normal form with zero diagonal, g12 = g23 = g34 = 1 and
 |g13| = 1.  Two quadruples are congruent under a holomorphic isometry
 precisely when their normal forms coincide, and congruent under an
 anti-holomorphic isometry precisely when the normal forms are complex
-conjugate.  ``gram_of`` is the only place in the package where
-Hermitian products of boundary points are taken.
+conjugate.
+
+One kernel takes every Hermitian product of boundary points, with one
+coordinate list and one scale per lift, and decides nullity, distinct
+points and finiteness.  It has two entry points: ``gram_of`` for lifts
+(``HermitianVector``s) and ``gram_of_points`` for boundary points, which
+lifts each point to a plain coordinate list and builds no
+``HermitianVector`` on the way.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_list,
-                        _numpy_shape, _read_only, standard_lifts)
+from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_list, _lift,
+                        _numpy_shape, _read_only, _scale, infer_dimension)
 from .numeric import NumericConfig, resolve
 
 if TYPE_CHECKING:
@@ -46,7 +52,8 @@ class GramMatrix:
     numbers, which is what the readers of the matrix index; ``entries``
     is a read-only complex array built from them on each access, and
     ``scale`` is the largest entry magnitude.  A matrix built directly is
-    checked with ``cfg`` (None: the default); one from ``gram_of`` is not.
+    checked with ``cfg`` (None: the default); one from ``gram_of`` or
+    ``gram_of_points`` is not.
     """
 
     m: int
@@ -154,17 +161,39 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     Points i and j coincide when |<P_i, P_j>| <= tol(s_i s_j), s_i the largest
     coordinate magnitude of lift i: the package's one rule for distinct points.
     """
-    c = resolve(cfg)
-    m = len(lifts)
-    if m not in (3, 4):
-        raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
+    _check_count(len(lifts))
     if any(P.n != lifts[0].n for P in lifts):
         raise DimensionMismatch("lifts live in different dimensions")
-    coords = [P.values for P in lifts]
-    scales = [P.scale() for P in lifts]
+    return _gram([P.values for P in lifts], [P.scale() for P in lifts], resolve(cfg))
+
+
+def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
+    """Gram matrix of the standard lifts of three or four boundary points.
+
+    Equal, entry for entry and error for error, to
+    ``gram_of(standard_lifts(points), cfg)``, but builds no ``HermitianVector``.
+    """
+    n = infer_dimension(points)
+    coords = [_lift(p, n) for p in points]
+    _check_count(len(coords))
+    return _gram(coords, [_scale(z) for z in coords], resolve(cfg))
+
+
+def _check_count(m: int):
+    if m not in (3, 4):
+        raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
+
+
+def _gram(coords, scales, c: NumericConfig) -> GramMatrix:
+    """The Gram kernel: checked products of lifts' coordinate lists, given their scales.
+
+    Checks, in order, each lift's nullity at its scale, each pair by
+    ``gram_of``'s rule, and last that every product is finite.
+    """
     for z, s in zip(coords, scales):
         if not _is_null(z, s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
+    m = len(coords)
     rows = [[0j] * m for _ in range(m)]
     mags = []
     for i in range(m):
@@ -177,13 +206,9 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
             rows[j][i] = g.conjugate()
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
-    return _checked_gram(m, tuple(map(tuple, rows)), c, max(mags))
-
-
-def _checked_gram(m: int, rows: tuple, cfg: NumericConfig, scale: float) -> GramMatrix:
-    """A GramMatrix of rows that ``gram_of`` has checked; ``__post_init__`` does not run."""
-    G = object.__new__(GramMatrix)
-    G.__dict__.update(m=m, rows=rows, cfg=cfg, scale=scale)  # frozen: no __setattr__
+    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __post_init__ does not run
+    G.__dict__.update(m=m, rows=tuple(map(tuple, rows)), cfg=c,
+                      scale=max(mags))  # frozen: no __setattr__
     return G
 
 
@@ -217,7 +242,7 @@ def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:
     """Normal form of a quadruple of boundary points via standard lifts."""
-    return normalize(gram_of(standard_lifts(points), cfg), cfg)
+    return normalize(gram_of_points(points, cfg), cfg)
 
 
 def det_gram(G: NormalizedGram) -> float:

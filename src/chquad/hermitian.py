@@ -21,6 +21,7 @@ functions that build or read arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -224,8 +225,16 @@ def _form(z, w) -> complex:
 
 
 def _scale(z) -> float:
-    """Largest magnitude in a coordinate sequence; NaN if any magnitude is NaN."""
-    mags = [abs(v) for v in z]
+    """Largest magnitude in a coordinate sequence; NaN if any magnitude is NaN.
+
+    Raises OverflowError naming the magnitude when a finite coordinate's
+    modulus lies beyond the float range.
+    """
+    try:
+        mags = [abs(v) for v in z]
+    except OverflowError:  # |v| of finite parts beyond the float range
+        big = max(max(abs(v.real), abs(v.imag)) for v in z if cmath.isfinite(v))
+        raise OverflowError(f"|Z| overflows for coordinates of magnitude {big}") from None
     total = sum(mags)  # NaN exactly when some magnitude is; max() keeps a NaN only if first
     return total if math.isnan(total) else max(mags)
 

@@ -20,9 +20,10 @@ normal form (g13, g14, g24) the dictionary reads
 with inverse g13 = -e^{-iA}, g14 = 1/conj(X2),
 g24 = -(conj(X1)/conj(X2)) e^{iA}.  Only the squares of g13 and g24
 are determined by (X1, X2, X3) alone, which is why the angle A is part
-of the moduli data.  Every value here is read off one ``gram.gram_of``
-matrix, and each formula (cross-ratio, Cartan, F, face determinants)
-has one definition.
+of the moduli data.  Every value here is read off one Gram matrix
+(``gram.gram_of`` of lifts, ``gram.gram_of_points`` of points), and
+each formula (cross-ratio, Cartan, F, face determinants) has one
+definition.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CartanOutOfRange, ZeroCrossRatio
-from .gram import FACES, NormalizedGram, _face_det, _triple, gram_of
-from .hermitian import (HermitianVector, _json_complex, _json_field, _json_number,
-                        standard_lifts)
+from .gram import FACES, NormalizedGram, _face_det, _triple, gram_of, gram_of_points
+from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
 from .numeric import NumericConfig, resolve
 
 HALF_PI = math.pi / 2.0
@@ -62,7 +62,7 @@ def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
 def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
     """Rows of the Gram matrix of an ordered quadruple's standard lifts."""
     p1, p2, p3, p4 = points  # rejects any other number of points
-    return gram_of(standard_lifts((p1, p2, p3, p4)), cfg).rows
+    return gram_of_points((p1, p2, p3, p4), cfg).rows
 
 
 def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVector,
@@ -72,7 +72,7 @@ def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVec
 
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
     """Cartan angular invariant of an ordered triple of boundary points."""
-    return cartan_from_lifts(*standard_lifts((p1, p2, p3)), cfg=cfg)
+    return _cartan(gram_of_points((p1, p2, p3), cfg).rows, 0, 1, 2, cfg)
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
@@ -81,7 +81,7 @@ def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     """Koranyi-Reimann complex cross-ratio of an ordered quadruple."""
-    return cross_ratio_from_lifts(*standard_lifts((p1, p2, p3, p4)), cfg=cfg)
+    return _cross_ratio(gram_of_points((p1, p2, p3, p4), cfg).rows, 0, 1, 2, 3)
 
 
 @dataclass(frozen=True)

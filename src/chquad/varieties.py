@@ -22,8 +22,8 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import CertificateFailure, InvalidParameter
-from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of
-from .hermitian import BoundaryPoint, standard_lifts
+from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of_points
+from .hermitian import BoundaryPoint
 from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
 from .moduli import moduli_coordinates
 from .numeric import NumericConfig, resolve
@@ -58,7 +58,7 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
 
 
 def _product_table(points, cfg: NumericConfig) -> dict:
-    g = gram_of(standard_lifts(points), cfg).rows
+    g = gram_of_points(points, cfg).rows
     return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
             for i in range(4) for j in range(i + 1, 4)}
 

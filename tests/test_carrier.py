@@ -35,6 +35,7 @@ from chquad import (
     reconstruct,
     standard_lift,
 )
+from chquad.sampling import KINDS, random_quadruple
 
 QUAD = (BoundaryPoint.finite([0.3 - 0.7j, -1.1 + 0.2j], 0.4),
         BoundaryPoint.finite([-0.5 + 0.1j, 0.8 + 0.9j], -1.3),
@@ -139,9 +140,9 @@ def numpy_calls(fn) -> int:
                or "setflags" in name)
 
 
-def gram_checks(fn) -> int:
-    """Runs of GramMatrix's own checks (its __post_init__) while fn runs."""
-    code = GramMatrix.__post_init__.__code__
+def checks(cls, fn) -> int:
+    """Runs of cls's own checks (its __post_init__) while fn runs."""
+    code = cls.__post_init__.__code__
     return sum(calls for (filename, line, _), calls in profiled_calls(fn).items()
                if (filename, line) == (code.co_filename, code.co_firstlineno))
 
@@ -151,29 +152,44 @@ def invariants_op():
     return cross_ratio_triple(QUAD), classify(m), in_moduli_space(m, 3)
 
 
-def test_invariants_and_roundtrip_ops_call_no_numpy():
+def roundtrip_op():
+    """The benchmark's roundtrip op on QUAD: reconstruct, dehomogenize, three congruences."""
     m = moduli_coordinates(QUAD)
     g = random_isometry(3, np.random.default_rng(6))
     moved = tuple(apply_isometry_point(g, p) for p in QUAD)
     mirrored = tuple(p.mirror() for p in QUAD)
 
-    def roundtrip_op():
+    def op():
         rebuilt = tuple(point_from_lift(P) for P in reconstruct(m, 3))
         return (congruent_holomorphic(QUAD, rebuilt), congruent_holomorphic(QUAD, moved),
                 congruent_antiholomorphic(QUAD, mirrored))
 
+    return op
+
+
+def test_invariants_and_roundtrip_ops_call_no_numpy():
     assert numpy_calls(invariants_op) == 0
-    assert numpy_calls(roundtrip_op) == 0
+    assert numpy_calls(roundtrip_op()) == 0
+
+
+def test_points_reach_the_gram_kernel_without_lift_objects():
+    # the points -> Gram path lifts to plain coordinate lists; only reconstruct's
+    # four output lifts are HermitianVectors
+    assert checks(HermitianVector, invariants_op) == 0
+    assert checks(HermitianVector, roundtrip_op()) == 4
+    for kind in KINDS:
+        rng = np.random.default_rng(7)
+        assert checks(HermitianVector, lambda: random_quadruple(3, kind, rng)) == 0
 
 
 def test_an_invariants_op_runs_no_gram_matrix_checks():
     # gram_of decides coincidence once, per pair; GramMatrix does not decide again
-    assert gram_checks(invariants_op) == 0
+    assert checks(GramMatrix, invariants_op) == 0
 
 
 def test_a_directly_built_gram_matrix_runs_its_checks():
     G = gram_of([standard_lift(p, 3) for p in QUAD])
-    assert gram_checks(lambda: GramMatrix(4, G.rows)) == 1
+    assert checks(GramMatrix, lambda: GramMatrix(4, G.rows)) == 1
 
 
 def numpy_imports(nodes, where="module"):

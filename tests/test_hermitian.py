@@ -114,6 +114,31 @@ def test_lift_overflow_names_the_magnitude(z, magnitude):
         moduli_coordinates([p, *others])
 
 
+@pytest.mark.parametrize("coords", [
+    [1.5e308 + 1.5e308j, 0],
+    [math.nan, 1.5e308 + 1.5e308j],  # a NaN does not hide the overflow
+    [math.inf, -1.5e308 + 1.5e308j],  # nor does an infinite coordinate
+])
+def test_scale_overflow_names_the_magnitude(coords):
+    # |v| is beyond the float range although both parts of v are finite
+    Z = HermitianVector(1, coords)
+    with pytest.raises(OverflowError, match=re.escape("magnitude 1.5e+308") + "$"):
+        Z.scale()
+    with pytest.raises(OverflowError, match=re.escape("magnitude 1.5e+308") + "$"):
+        Z.is_null()
+
+
+def test_lift_scale_overflow_names_the_magnitude():
+    # z = 1.2e154 gives a finite |z|^2 = 1.44e308, but |-|z|^2 + i t| overflows
+    p = BoundaryPoint.finite([1.2e154], 1.5e308)
+    quad = [p, BoundaryPoint.infinity(), BoundaryPoint.finite([0], 0.0),
+            BoundaryPoint.finite([1], 0.0)]
+    with pytest.raises(OverflowError, match=re.escape("magnitude 1.5e+308") + "$"):
+        moduli_coordinates(quad)
+    with pytest.raises(OverflowError, match=re.escape("magnitude 1.5e+308") + "$"):
+        standard_lift(p, 2).scale()
+
+
 def test_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(300):

@@ -108,29 +108,37 @@ def test_from_lifts_reject_a_non_isotropic_lift():
         cartan_from_lifts(*lifts[:2], bad)
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of the package function ``name`` through every module binding it."""
-    original = getattr(chquad, name)
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every package module binding it."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (chquad.hermitian, chquad.gram, chquad.invariants, chquad.moduli,
-                   chquad.varieties, chquad.sampling):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    for binding in (chquad.hermitian, chquad.gram, chquad.invariants, chquad.moduli,
+                    chquad.varieties, chquad.sampling):
+        if getattr(binding, name, None) is original:
+            monkeypatch.setattr(binding, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("invariant", [moduli_coordinates, cross_ratio_triple])
-def test_one_gram_per_quadruple(monkeypatch, invariant):
+@pytest.mark.parametrize("invariant,points", [
+    pytest.param(moduli_coordinates, 4, id="moduli_coordinates"),
+    pytest.param(cross_ratio_triple, 4, id="cross_ratio_triple"),
+    pytest.param(normalized_gram_of_points, 4, id="normalized_gram_of_points"),
+    pytest.param(lambda p: cartan(*p), 3, id="cartan"),
+    pytest.param(lambda p: cross_ratio(*p), 4, id="cross_ratio"),
+])
+def test_one_gram_per_quadruple(monkeypatch, invariant, points):
+    # one run of the Gram kernel on the points' lifts, and no lift object built
     p, _ = counterexample_pair(2.0)
-    lifts = count_calls(monkeypatch, "standard_lift")
-    grams = count_calls(monkeypatch, "gram_of")
-    invariant(p)
-    assert (len(lifts), len(grams)) == (4, 1)
+    lifts = count_calls(monkeypatch, chquad.hermitian, "_lift")
+    kernels = count_calls(monkeypatch, chquad.gram, "_gram")
+    lift_objects = count_calls(monkeypatch, chquad.hermitian, "standard_lift")
+    invariant(p[:points])
+    assert (len(lifts), len(kernels), len(lift_objects)) == (points, 1, 0)
 
 
 def test_isometry_invariance():
