@@ -11,41 +11,21 @@ failed (e.g. `points[0].z[0]: expected [re, im]`), 141 (128 + SIGPIPE)
 when the reader closes standard output early, as `chquad sample ... |
 head -1` does; nothing is written to stderr then.  A dimension n above
 MAX_N = 1024 (`reconstruct`, `check-moduli`, `sample --n`) is malformed
-input: four points span at most a CH^3.
+input: four points span at most a CH^3.  Each command imports the modules
+it calls once it has read its input, as module loading is most of the
+time a call takes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 
 from .errors import GeometryError
-from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of, normalize
-from .hermitian import (
-    BoundaryPoint,
-    HermitianVector,
-    _json_field,
-    _json_list,
-    infer_dimension,
-    point_from_lift,
-)
-from .invariants import ModuliPoint, cross_ratio_triple
-from .moduli import (
-    _positivity,
-    classify,
-    in_moduli_space,
-    moduli_coordinates,
-    moduli_residual,
-    real_slice_residual,
-    reconstruct,
-)
 from .numeric import NumericConfig
-from .sampling import KINDS, random_quadruple
-from .varieties import certify_noninjectivity
 
 MAX_N = 1024
 
@@ -67,11 +47,25 @@ def _read_json(args) -> dict:
 
 def _points_from_json(obj, path: str = "") -> tuple:
     """The four points of the quadruple object at path ('' for the whole input)."""
+    from .hermitian import BoundaryPoint, _json_field, _json_list
+
     where = f"{path}.points" if path else "points"
     points = _json_list(_json_field(obj, "points", path or "input"), where)
     if len(points) != 4:
         raise ValueError(f"{where}: expected 4 points, got {len(points)}")
     return tuple(BoundaryPoint.from_json(p, f"{where}[{k}]") for k, p in enumerate(points))
+
+
+def _json_n(obj) -> int:
+    """The input's dimension "n": a JSON int or integral float; not a bool or a string."""
+    from .hermitian import _json_field
+
+    n = _json_field(obj, "n", "input")
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n: expected an integer, got {n!r}")
+    return _bounded_n(n, "n")
 
 
 def _bounded_n(n: int, name: str) -> int:
@@ -101,6 +95,10 @@ def _quadruple_json(n: int, points) -> dict:
 
 def _cmd_invariants(args, cfg):
     obj = _read_json(args)
+    from .hermitian import infer_dimension
+    from .invariants import cross_ratio_triple
+    from .moduli import classify, moduli_coordinates
+
     points = _points_from_json(obj)
     n = infer_dimension(points)
     m = moduli_coordinates(points, cfg)
@@ -114,6 +112,9 @@ def _cmd_invariants(args, cfg):
 
 def _cmd_normalize(args, cfg):
     obj = _read_json(args)
+    from .gram import gram_of, normalize
+    from .hermitian import HermitianVector, _json_field, _json_list
+
     lifts = _json_list(_json_field(obj, "lifts", "input"), "lifts")
     G = gram_of([HermitianVector.from_json(v, f"lifts[{k}]") for k, v in enumerate(lifts)], cfg)
     return {"gram": G.to_json(), "normalized": normalize(G, cfg).to_json()}
@@ -121,7 +122,11 @@ def _cmd_normalize(args, cfg):
 
 def _cmd_reconstruct(args, cfg):
     obj = _read_json(args)
-    n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
+    from .hermitian import _json_field, point_from_lift
+    from .invariants import ModuliPoint
+    from .moduli import reconstruct
+
+    n = _json_n(obj)
     m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"), "moduli", cfg)
     lifts = reconstruct(m, n, cfg)
     points = [point_from_lift(P, cfg) for P in lifts]
@@ -133,7 +138,11 @@ def _cmd_reconstruct(args, cfg):
 
 def _cmd_check_moduli(args, cfg):
     obj = _read_json(args)
-    n = _bounded_n(int(_json_field(obj, "n", "input")), "n")
+    from .hermitian import _json_field
+    from .invariants import ModuliPoint
+    from .moduli import _positivity, in_moduli_space, moduli_residual
+
+    n = _json_n(obj)
     m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"), "moduli", cfg)
     return {
         "n": n,
@@ -148,6 +157,9 @@ def _cmd_check_moduli(args, cfg):
 
 def _cmd_congruent(args, cfg):
     obj = _read_json(args)
+    from .gram import congruent_antiholomorphic, congruent_holomorphic
+    from .hermitian import _json_field
+
     p = _points_from_json(_json_field(obj, "first", "input"), "first")
     q = _points_from_json(_json_field(obj, "second", "input"), "second")
     return {
@@ -159,6 +171,8 @@ def _cmd_congruent(args, cfg):
 def _cmd_counterexample(args, cfg):
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
+    from .varieties import certify_noninjectivity
+
     return certify_noninjectivity(args.t, cfg).to_json()
 
 
@@ -168,6 +182,8 @@ def _cmd_sample(args, cfg):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     _bounded_n(args.n, "--n")
+    from .sampling import random_quadruple
+
     # one child per record, as spawn(count) would give, without holding count children
     root = np.random.SeedSequence(args.seed)
     for index in range(args.count):
@@ -193,6 +209,10 @@ def _cmd_slice(args, cfg):
     # |F| on the grid is at most this (triangle inequality), so F stays finite below the cap
     if 1.0 + 2.0 * (r1 + r2) + 2.0 * r1 * r2 + r1 * r1 + r2 * r2 > sys.float_info.max / 2:
         raise ValueError("--x1/--x2 bounds too large: the residual could overflow")
+    import csv
+
+    from .moduli import real_slice_residual
+
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "residual"])
     for x1 in _grid(args.x1_min, args.x1_max, args.x1_steps):
@@ -207,6 +227,8 @@ def _add_input(sub):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .kinds import KINDS
+
     parser = argparse.ArgumentParser(
         prog="chquad",
         description="Invariants and moduli coordinates of boundary quadruples "

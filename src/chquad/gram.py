@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_list, _lift,
                         _numpy_shape, _read_only, _scale, infer_dimension)
-from .numeric import NumericConfig, resolve
+from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,8 +43,7 @@ if TYPE_CHECKING:
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
+class GramMatrix(Frozen, compare=False):
     """Hermitian m x m matrix of pairwise products of null lifts (m = 3 or 4).
 
     ``rows`` stores the entries as a tuple of tuples of Python complex
@@ -56,23 +54,20 @@ class GramMatrix:
     ``gram_of_points`` is not.
     """
 
-    m: int
-    rows: tuple = field(repr=False)
-    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
-    scale: float = field(init=False)
+    _fields = ("m", "scale")
 
-    def __post_init__(self):
-        m = self.m
+    def __init__(self, m: int, rows: tuple, cfg: NumericConfig | None = None):
         if m not in (3, 4):
             raise InvalidParameter(f"only 3x3 and 4x4 Gram matrices are supported, got m={m}")
-        rows = _complex_values(self.rows, (m, m))
-        if rows is None:
-            raise DimensionMismatch(f"expected shape {(m, m)}, got {_numpy_shape(self.rows)}")
+        checked = _complex_values(rows, (m, m))
+        if checked is None:
+            raise DimensionMismatch(f"expected shape {(m, m)}, got {_numpy_shape(rows)}")
+        rows = checked
         flat = [v for row in rows for v in row]
         if not all(map(cmath.isfinite, flat)):
             raise InvalidParameter("Gram matrix entries must be finite")
         scale = max(map(abs, flat))
-        tol = resolve(self.cfg).tol(scale)
+        tol = resolve(cfg).tol(scale)
         if any(abs(rows[i][j] - rows[j][i].conjugate()) > tol
                for i in range(m) for j in range(i, m)):
             raise InvalidParameter("Gram matrix must be Hermitian")
@@ -82,8 +77,7 @@ class GramMatrix:
             for j in range(i + 1, m):
                 if abs(rows[i][j]) <= tol:
                     raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", scale)
+        _set_gram(self, m, rows, cfg, scale)
 
     @property
     def entries(self) -> np.ndarray:
@@ -101,24 +95,30 @@ class GramMatrix:
                                for i, row in enumerate(rows)], cfg)
 
 
-@dataclass(frozen=True)
-class NormalizedGram:
+def _set_gram(G: GramMatrix, m: int, rows: tuple, cfg: NumericConfig | None, scale: float):
+    _setattr(G, "m", m)
+    _setattr(G, "rows", rows)
+    _setattr(G, "cfg", cfg)
+    _setattr(G, "scale", scale)
+
+
+class NormalizedGram(Frozen):
     """The normal form: only g13, g14, g24 are free; |g13| = 1; checked with ``cfg``."""
 
-    g13: complex
-    g14: complex
-    g24: complex
-    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
+    _fields = ("g13", "g14", "g24")
 
-    def __post_init__(self):
-        cfg = resolve(self.cfg)
-        object.__setattr__(self, "g13", complex(self.g13))
-        object.__setattr__(self, "g14", complex(self.g14))
-        object.__setattr__(self, "g24", complex(self.g24))
-        if abs(abs(self.g13) - 1.0) > cfg.tol(1.0):
-            raise NotNormalForm(f"|g13| must be 1, got {abs(self.g13)}")
-        r14 = abs(self.g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
-        if r14 == 0.0 or cfg.abs_tol * r14 >= 1.0 or abs(self.g24) <= cfg.abs_tol * r14:
+    def __init__(self, g13: complex, g14: complex, g24: complex,
+                 cfg: NumericConfig | None = None):
+        g13, g14, g24 = complex(g13), complex(g14), complex(g24)
+        _setattr(self, "g13", g13)
+        _setattr(self, "g14", g14)
+        _setattr(self, "g24", g24)
+        _setattr(self, "cfg", cfg)
+        c = resolve(cfg)
+        if abs(abs(g13) - 1.0) > c.tol(1.0):
+            raise NotNormalForm(f"|g13| must be 1, got {abs(g13)}")
+        r14 = abs(g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
+        if r14 == 0.0 or c.abs_tol * r14 >= 1.0 or abs(g24) <= c.abs_tol * r14:
             raise DegenerateEntry("g14 and g24 must be nonzero in a normal form")
 
     @property
@@ -199,16 +199,20 @@ def _gram(coords, scales, c: NumericConfig) -> GramMatrix:
     for i in range(m):
         for j in range(i + 1, m):
             g = _form(coords[i], coords[j])
-            mags.append(abs(g))
+            try:
+                mags.append(abs(g))
+            except OverflowError:  # |g| of finite parts beyond the float range
+                big = max(abs(g.real), abs(g.imag))
+                raise OverflowError(f"|<P{i + 1},P{j + 1}>| overflows for parts of "
+                                    f"magnitude {big}") from None
             if mags[-1] <= c.tol(scales[i] * scales[j]):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             rows[i][j] = g
             rows[j][i] = g.conjugate()
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
-    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __post_init__ does not run
-    G.__dict__.update(m=m, rows=tuple(map(tuple, rows)), cfg=c,
-                      scale=max(mags))  # frozen: no __setattr__
+    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __init__ does not run
+    _set_gram(G, m, tuple(map(tuple, rows)), c, max(mags))
     return G
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     NotNull,
     ZeroVector,
 )
-from .numeric import NumericConfig, resolve
+from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,8 +70,7 @@ def signature_basis(n: int) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianVector:
+class HermitianVector(Frozen, compare=False):
     """A vector of C^{n,1}, typically a (null) lift of a boundary point.
 
     ``values`` stores the coordinates as a tuple of Python complex
@@ -80,17 +78,17 @@ class HermitianVector:
     each access.
     """
 
-    n: int
-    values: tuple
+    _fields = ("n", "values")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"n must be >= 1, got {self.n}")
-        values = _complex_values(self.values, (self.n + 1,))
-        if values is None:
-            raise DimensionMismatch(f"expected {self.n + 1} coordinates for n={self.n}, "
-                                    f"got shape {_numpy_shape(self.values)}")
-        object.__setattr__(self, "values", values)
+    def __init__(self, n: int, values: tuple):
+        if n < 1:
+            raise DimensionMismatch(f"n must be >= 1, got {n}")
+        checked = _complex_values(values, (n + 1,))
+        if checked is None:
+            raise DimensionMismatch(f"expected {n + 1} coordinates for n={n}, "
+                                    f"got shape {_numpy_shape(values)}")
+        _setattr(self, "n", n)
+        _setattr(self, "values", checked)
 
     @property
     def coords(self) -> np.ndarray:
@@ -258,13 +256,15 @@ def herm_product(Z: HermitianVector, W: HermitianVector) -> complex:
     return _form(Z.values, W.values)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Frozen):
     """A boundary point: horospherical (z, t) or the point at infinity."""
 
-    at_infinity: bool
-    z: tuple = ()
-    t: float = 0.0
+    _fields = ("at_infinity", "z", "t")
+
+    def __init__(self, at_infinity: bool, z: tuple = (), t: float = 0.0):
+        _setattr(self, "at_infinity", at_infinity)
+        _setattr(self, "z", z)
+        _setattr(self, "t", t)
 
     @classmethod
     def finite(cls, z, t) -> "BoundaryPoint":
@@ -354,34 +354,33 @@ def point_from_lift(Z: HermitianVector, cfg: NumericConfig | None = None) -> Bou
     return _point(Z.values, cfg)
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
+class Isometry(Frozen, compare=False):
     """A holomorphic isometry: a J-unitary matrix acting on lifts, checked with ``cfg``."""
 
-    n: int
-    matrix: np.ndarray
-    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
+    _fields = ("n", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, n: int, matrix: np.ndarray, cfg: NumericConfig | None = None):
         import numpy as np
 
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.n + 1, self.n + 1):
+        mat = np.array(matrix, dtype=complex)
+        if mat.shape != (n + 1, n + 1):
             raise DimensionMismatch(
-                f"expected a {self.n + 1}x{self.n + 1} matrix, got {mat.shape}"
+                f"expected a {n + 1}x{n + 1} matrix, got {mat.shape}"
             )
         big = float(np.max(np.abs(mat.view(float))))  # the largest real or imaginary part
         if not math.isfinite(big):
             raise NotIsometry("matrix entries must be finite")
-        if 4.0 * (self.n + 1) * big * big == math.inf:  # bounds the form check's products
+        if 4.0 * (n + 1) * big * big == math.inf:  # bounds the form check's products
             raise OverflowError(f"the form check overflows for entries of magnitude {big}")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        J = form_matrix(self.n)
+        J = form_matrix(n)
         residual = np.max(np.abs(mat.conj().T @ J @ mat - J))
-        scale = (self.n + 1) * float(np.max(np.abs(mat))) ** 2
-        if not residual <= resolve(self.cfg).tol(scale):  # a NaN residual fails too
+        scale = (n + 1) * float(np.max(np.abs(mat))) ** 2
+        if not residual <= resolve(cfg).tol(scale):  # a NaN residual fails too
             raise NotIsometry(f"matrix does not preserve the form (residual {residual:.3e})")
+        _setattr(self, "n", n)
+        _setattr(self, "matrix", mat)
+        _setattr(self, "cfg", cfg)
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         if self.n != other.n:

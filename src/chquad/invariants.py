@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .errors import CartanOutOfRange, ZeroCrossRatio
 from .gram import FACES, NormalizedGram, _face_det, _triple, gram_of, gram_of_points
 from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
-from .numeric import NumericConfig, resolve
+from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 HALF_PI = math.pi / 2.0
 
@@ -55,8 +54,16 @@ def _cross_ratio(g, i, j, k, l) -> complex:
 
 
 def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
-    """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based)."""
-    return _clamp_cartan(cmath.phase(-_triple(g, i, j, k)), resolve(cfg))
+    """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based).
+
+    A product beyond the float range (inf, NaN or 0) takes its phase from
+    the unit factors g/|g| instead, whose product cannot leave it.
+    """
+    t = _triple(g, i, j, k)
+    if t == 0 or not cmath.isfinite(t):
+        p, q, r = g[i][j], g[j][k], g[k][i]
+        t = p / abs(p) * (q / abs(q)) * (r / abs(r))
+    return _clamp_cartan(cmath.phase(-t), resolve(cfg))
 
 
 def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
@@ -84,25 +91,24 @@ def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     return _cross_ratio(gram_of_points((p1, p2, p3, p4), cfg).rows, 0, 1, 2, 3)
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Frozen):
     """Moduli coordinates (X1, X2, A) of a quadruple class.
 
     ``cartan`` is the Cartan invariant of the first face (p1, p2, p3),
     in radians.  The checks use ``cfg`` (the default config when None).
     """
 
-    x1: complex
-    x2: complex
-    cartan: float
-    cfg: NumericConfig | None = field(default=None, repr=False, compare=False)
+    _fields = ("x1", "x2", "cartan")
 
-    def __post_init__(self):
-        cfg = resolve(self.cfg)
-        object.__setattr__(self, "x1", complex(self.x1))
-        object.__setattr__(self, "x2", complex(self.x2))
-        object.__setattr__(self, "cartan", float(self.cartan))
-        if abs(self.x1) <= cfg.abs_tol or abs(self.x2) <= cfg.abs_tol:
+    def __init__(self, x1: complex, x2: complex, cartan: float,
+                 cfg: NumericConfig | None = None):
+        x1, x2 = complex(x1), complex(x2)
+        _setattr(self, "x1", x1)
+        _setattr(self, "x2", x2)
+        _setattr(self, "cartan", float(cartan))
+        _setattr(self, "cfg", cfg)
+        c = resolve(cfg)
+        if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:
             raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
 
     def isclose(self, other: "ModuliPoint", cfg: NumericConfig | None = None) -> bool:
@@ -126,13 +132,15 @@ class ModuliPoint:
                    _json_number(_json_field(obj, "a", path), f"{path}.a"), cfg)
 
 
-@dataclass(frozen=True)
-class CrossRatioTriple:
+class CrossRatioTriple(Frozen):
     """The Parker-Platis cross-ratio coordinates (X1, X2, X3) of a quadruple."""
 
-    x1: complex
-    x2: complex
-    x3: complex
+    _fields = ("x1", "x2", "x3")
+
+    def __init__(self, x1: complex, x2: complex, x3: complex):
+        _setattr(self, "x1", x1)
+        _setattr(self, "x2", x2)
+        _setattr(self, "x3", x3)
 
     def isclose(self, other: "CrossRatioTriple", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)

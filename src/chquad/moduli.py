@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
 from .gram import _face_det
 from .hermitian import HermitianVector
 from .invariants import (HALF_PI, ModuliPoint, _defining_function, _moduli, _quadruple_gram,
                          face_dets_from_moduli, gram_from_moduli)
-from .numeric import NumericConfig, resolve, small
+from .numeric import Frozen, NumericConfig, _setattr, resolve, small
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
@@ -144,8 +143,7 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     return [HermitianVector(n, v) for v in (P1, P2, P3, P4)]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Frozen):
     """Pointwise classification of a moduli point.
 
     ``face_on_chain`` flags the faces (1,2,3), (1,2,4), (1,3,4),
@@ -154,13 +152,18 @@ class ClassificationReport:
     quadruple realizes.
     """
 
-    residual: float
-    face_on_chain: tuple
-    is_c_plane: bool
-    is_r_plane: bool
-    in_real_slice: bool
-    in_singular_set: bool
-    det_sign: str
+    _fields = ("residual", "face_on_chain", "is_c_plane", "is_r_plane", "in_real_slice",
+               "in_singular_set", "det_sign")
+
+    def __init__(self, residual: float, face_on_chain: tuple, is_c_plane: bool,
+                 is_r_plane: bool, in_real_slice: bool, in_singular_set: bool, det_sign: str):
+        _setattr(self, "residual", residual)
+        _setattr(self, "face_on_chain", face_on_chain)
+        _setattr(self, "is_c_plane", is_c_plane)
+        _setattr(self, "is_r_plane", is_r_plane)
+        _setattr(self, "in_real_slice", in_real_slice)
+        _setattr(self, "in_singular_set", in_singular_set)
+        _setattr(self, "det_sign", det_sign)
 
     def to_json(self) -> dict:
         return {

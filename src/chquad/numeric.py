@@ -1,4 +1,4 @@
-"""Floating-point tolerance policy.
+"""Floating-point tolerance policy, and the base of the package's values.
 
 Every comparison in the package takes a ``NumericConfig`` from its
 caller; ``None`` stands for ``DEFAULT``, and there is no process-wide
@@ -13,13 +13,60 @@ magnitude involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+_setattr = object.__setattr__  # how an __init__ sets a field of a Frozen value, once
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``_fields``, which ``repr`` shows in
+    order and which ``==`` and ``hash`` compare; ``compare=False`` in the
+    class statement keeps identity equality instead.  Its ``__init__``
+    sets each field with ``_setattr``; setting or deleting an attribute
+    afterwards raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, compare: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)  # a tuple: every class names two or more fields
+        if not compare:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class NumericConfig(Frozen):
+    _fields = ("abs_tol", "rel_tol")
+
+    def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-9):
+        _setattr(self, "abs_tol", abs_tol)
+        _setattr(self, "rel_tol", rel_tol)
 
     def tol(self, scale: float = 1.0) -> float:
         return self.abs_tol + self.rel_tol * abs(scale)

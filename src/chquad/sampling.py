@@ -5,7 +5,7 @@ arbitrary choice; nothing downstream may depend on the distribution,
 only on validity, which ``moduli_coordinates`` decides).  Every
 function is deterministic given a seed, and callers own their
 generator streams.  numpy is imported by the functions that draw, so
-that importing the module (for ``KINDS``, say) does not load it.
+that importing the module does not load it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, Resamp
                      ZeroCrossRatio)
 from .hermitian import BoundaryPoint, Isometry, signature_basis
 from .invariants import HALF_PI, ModuliPoint
+from .kinds import KINDS
 from .moduli import moduli_coordinates, moduli_residual, residual_scale
 from .numeric import NumericConfig
 
@@ -26,8 +27,6 @@ if TYPE_CHECKING:
 
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
-
-KINDS = ("generic", "c_plane", "r_plane", "subspace2")
 
 
 def _rng(seed) -> np.random.Generator:

@@ -19,14 +19,13 @@ isometry.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import CertificateFailure, InvalidParameter
 from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of_points
 from .hermitian import BoundaryPoint
 from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
 from .moduli import moduli_coordinates
-from .numeric import NumericConfig, resolve
+from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 
 def variety_residuals(x: CrossRatioTriple):
@@ -63,21 +62,23 @@ def _product_table(points, cfg: NumericConfig) -> dict:
             for i in range(4) for j in range(i + 1, 4)}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Checked evidence that two distinct quadruple classes share cross-ratios."""
 
-    t: float
-    quadruple: tuple
-    mirror_quadruple: tuple
-    products: dict
-    mirror_products: dict
-    triple: CrossRatioTriple
-    mirror_triple: CrossRatioTriple
-    moduli: ModuliPoint
-    mirror_moduli: ModuliPoint
-    holomorphic_congruent: bool
-    antiholomorphic_congruent: bool
+    _fields = ("t", "quadruple", "mirror_quadruple", "products", "mirror_products", "triple",
+               "mirror_triple", "moduli", "mirror_moduli", "holomorphic_congruent",
+               "antiholomorphic_congruent")
+
+    def __init__(self, t: float, quadruple: tuple, mirror_quadruple: tuple, products: dict,
+                 mirror_products: dict, triple: CrossRatioTriple,
+                 mirror_triple: CrossRatioTriple, moduli: ModuliPoint,
+                 mirror_moduli: ModuliPoint, holomorphic_congruent: bool,
+                 antiholomorphic_congruent: bool):
+        for name, value in zip(self._fields, (
+                t, quadruple, mirror_quadruple, products, mirror_products, triple,
+                mirror_triple, moduli, mirror_moduli, holomorphic_congruent,
+                antiholomorphic_congruent)):
+            _setattr(self, name, value)
 
     def to_json(self) -> dict:
         return {

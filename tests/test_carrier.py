@@ -141,8 +141,8 @@ def numpy_calls(fn) -> int:
 
 
 def checks(cls, fn) -> int:
-    """Runs of cls's own checks (its __post_init__) while fn runs."""
-    code = cls.__post_init__.__code__
+    """Runs of cls's own checks (its __init__) while fn runs."""
+    code = cls.__init__.__code__
     return sum(calls for (filename, line, _), calls in profiled_calls(fn).items()
                if (filename, line) == (code.co_filename, code.co_firstlineno))
 
@@ -192,32 +192,42 @@ def test_a_directly_built_gram_matrix_runs_its_checks():
     assert checks(GramMatrix, lambda: GramMatrix(4, G.rows)) == 1
 
 
-def numpy_imports(nodes, where="module"):
-    """Where each numpy import among nodes runs: on import of the module ("module"),
-    only for a type checker ("type-checking"), or when a function is called ("function")."""
+def imports_of(modules, nodes, where="module"):
+    """Where each import of one of modules among nodes runs: on import of the module
+    ("module"), only for a type checker ("type-checking"), or when a function is called
+    ("function")."""
     for node in nodes:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] in modules for name in names):
                 yield where
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield from numpy_imports(ast.iter_child_nodes(node), "function")
+            yield from imports_of(modules, ast.iter_child_nodes(node), "function")
         elif (isinstance(node, ast.If) and where == "module"
               and ast.unparse(node.test) == "TYPE_CHECKING"):
-            yield from numpy_imports(node.body, "type-checking")
-            yield from numpy_imports(node.orelse, where)
+            yield from imports_of(modules, node.body, "type-checking")
+            yield from imports_of(modules, node.orelse, where)
         else:
-            yield from numpy_imports(ast.iter_child_nodes(node), where)
+            yield from imports_of(modules, ast.iter_child_nodes(node), where)
 
 
 def test_numpy_is_imported_only_at_the_array_edges():
     in_functions = set()
     for path in Path(chquad.__file__).parent.glob("*.py"):
-        where = set(numpy_imports(ast.parse(path.read_text()).body))
+        where = set(imports_of({"numpy"}, ast.parse(path.read_text()).body))
         assert "module" not in where, f"{path.name} imports numpy at module level"
         if "function" in where:
             in_functions.add(path.name)
     assert in_functions and in_functions <= {"hermitian.py", "gram.py", "sampling.py", "cli.py"}
+
+
+def test_no_module_imports_dataclasses_inspect_or_csv_at_load():
+    # each costs milliseconds of every CLI start; csv is for `slice`, dataclasses for
+    # the error a frozen value raises
+    modules = {"dataclasses", "inspect", "csv"}
+    for path in Path(chquad.__file__).parent.glob("*.py"):
+        where = set(imports_of(modules, ast.parse(path.read_text()).body))
+        assert "module" not in where, f"{path.name} imports one of {modules} at module level"
 
 
 # Runs each argv through cli.main in one fresh interpreter, then reports the exit codes
@@ -237,7 +247,10 @@ def run_cli_fresh(*argvs):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-def test_only_sample_loads_numpy(tmp_path):
+@pytest.fixture
+def cli_argvs(tmp_path):
+    """One argv per command, with its input written under tmp_path; "malformed" is
+    `invariants` on truncated JSON."""
     def write(name, obj):
         path = tmp_path / name
         path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
@@ -246,16 +259,74 @@ def test_only_sample_loads_numpy(tmp_path):
     quad = {"n": 3, "points": [p.to_json() for p in QUAD]}
     moduli = write("moduli.json", {"n": 3, "moduli": moduli_coordinates(QUAD).to_json()})
     lifts = {"lifts": [standard_lift(p, 3).scaled(0.5 + 2j).to_json() for p in QUAD]}
-    argvs = [
-        ["invariants", *write("quad.json", quad)],
-        ["congruent", *write("pair.json", {"first": quad, "second": quad})],
-        ["check-moduli", *moduli],
-        ["reconstruct", *moduli],
-        ["normalize", *write("lifts.json", lifts)],
-        ["counterexample", "--t", "2"],
-        ["slice", "--a", "0.3", "--x1-steps", "3", "--x2-steps", "3"],
-        ["invariants", *write("malformed.json", '{"n": 2, "points": [')],
-    ]
+    return {
+        "invariants": ["invariants", *write("quad.json", quad)],
+        "congruent": ["congruent", *write("pair.json", {"first": quad, "second": quad})],
+        "check-moduli": ["check-moduli", *moduli],
+        "reconstruct": ["reconstruct", *moduli],
+        "normalize": ["normalize", *write("lifts.json", lifts)],
+        "counterexample": ["counterexample", "--t", "2"],
+        "slice": ["slice", "--a", "0.3", "--x1-steps", "3", "--x2-steps", "3"],
+        "malformed": ["invariants", *write("malformed.json", '{"n": 2, "points": [')],
+        "sample": ["sample", "--n", "2", "--count", "1"],
+    }
+
+
+def test_only_sample_loads_numpy(cli_argvs):
+    argvs = [argv for command, argv in cli_argvs.items() if command != "sample"]
     assert run_cli_fresh(*argvs) == {"codes": [0, 0, 0, 0, 0, 0, 0, 2], "numpy": False}
-    sample = ["sample", "--n", "2", "--count", "1"]
+    sample = cli_argvs["sample"]
     assert run_cli_fresh(sample) == {"codes": [0], "numpy": True}
+
+
+# Imports chquad in a fresh interpreter, runs argv (if not null) through cli.main, and
+# reports main's exit code and every loaded module, on stderr.
+LOADS_SCRIPT = """
+import json, sys
+import chquad
+argv, code = json.loads(sys.argv[1]), None
+if argv is not None:
+    import chquad.cli
+    code = chquad.cli.main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
+def loaded_by(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(chquad.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stderr.splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+def test_import_chquad_loads_no_submodule():
+    code, modules = loaded_by(None)
+    assert "chquad" in modules
+    assert not {m for m in modules if m.startswith("chquad.")}
+    assert not modules & {"dataclasses", "inspect", "numpy", "csv"}
+
+
+LIBRARY = {"chquad.invariants", "chquad.moduli", "chquad.sampling", "chquad.varieties"}
+# the chquad modules each command must not load
+NOT_LOADED = {
+    "congruent": LIBRARY,
+    "normalize": LIBRARY,
+    "invariants": {"chquad.sampling", "chquad.varieties"},
+    "check-moduli": {"chquad.sampling", "chquad.varieties"},
+    "reconstruct": {"chquad.sampling", "chquad.varieties"},
+    "slice": {"chquad.sampling", "chquad.varieties"},
+    "counterexample": {"chquad.sampling"},
+    "malformed": {"chquad.hermitian", "chquad.gram"},
+    "sample": set(),
+}
+
+
+@pytest.mark.parametrize("command", list(NOT_LOADED))
+def test_each_command_loads_only_what_it_runs(cli_argvs, command):
+    code, modules = loaded_by(cli_argvs[command])
+    assert code == (2 if command == "malformed" else 0)
+    assert not modules & NOT_LOADED[command]
+    if command != "sample":
+        assert not modules & {"dataclasses", "inspect", "numpy"}
+    assert ("csv" in modules) == (command == "slice")

@@ -339,6 +339,34 @@ def test_dimension_above_max_exits_two(tmp_path, capsys, command, text):
     assert strict_json(out)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("command", ["check-moduli", "reconstruct"])
+@pytest.mark.parametrize("n,detail", [
+    ("2.9", "n: expected an integer, got 2.9"),
+    ('"3"', "n: expected an integer, got '3'"),
+    ("true", "n: expected an integer, got True"),
+    ("null", "n: expected an integer, got None"),
+    ("[2]", "n: expected an integer, got [2]"),
+])
+def test_non_integer_dimension_exits_two(tmp_path, capsys, command, n, detail):
+    path = tmp_path / "in.json"
+    path.write_text('{"n": ' + n + ', "moduli": ' + json.dumps(WITNESS_MODULI) + "}")
+    code, out = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert strict_json(out) == {"error": "malformed-input", "detail": detail}
+
+
+@pytest.mark.parametrize("command", ["check-moduli", "reconstruct"])
+def test_integral_float_dimension_reads_as_an_int(tmp_path, capsys, command):
+    outputs = []
+    for n in ("2", "2.0"):
+        path = tmp_path / "in.json"
+        path.write_text('{"n": ' + n + ', "moduli": ' + json.dumps(WITNESS_MODULI) + "}")
+        code, out = run(capsys, command, "--input", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["n"] == 2
+
+
 @pytest.mark.parametrize("n", ["1025", "100000000"])
 def test_sample_dimension_above_max_exits_two(capsys, n):
     code, out = run(capsys, "sample", "--n", n)

@@ -128,6 +128,15 @@ def test_scale_overflow_names_the_magnitude(coords):
         Z.is_null()
 
 
+def test_gram_product_overflow_names_the_magnitude():
+    # every lift passes its scale and nullity checks, but |<P1,P2>| of finite parts overflows
+    quad = [BoundaryPoint.finite([0.57e154], 0.65e308), BoundaryPoint.finite([-0.57e154], -0.65e308),
+            BoundaryPoint.infinity(), BoundaryPoint.finite([0], 0.0)]
+    with pytest.raises(OverflowError, match=re.escape("|<P1,P2>| overflows for parts of "
+                                                      "magnitude 1.3e+308") + "$"):
+        moduli_coordinates(quad)
+
+
 def test_lift_scale_overflow_names_the_magnitude():
     # z = 1.2e154 gives a finite |z|^2 = 1.44e308, but |-|z|^2 + i t| overflows
     p = BoundaryPoint.finite([1.2e154], 1.5e308)

@@ -176,6 +176,52 @@ def test_moduli_from_gram_values():
     assert abs(m2.cartan) < 1e-12
 
 
+def reference_cartan(points):
+    """A(p1, p2, p3) of finite n = 2 points (z, t), from their standard lifts in 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lifts = [(mpmath.mpc(-abs(complex(z)) ** 2, t), mpmath.mpc(z) * mpmath.sqrt(2), 1)
+                 for z, t in points]
+
+        def g(i, j):
+            P, Q = lifts[i], lifts[j]
+            return P[0] * mpmath.conj(Q[2]) + P[1] * mpmath.conj(Q[1]) + P[2] * mpmath.conj(Q[0])
+
+        return float(mpmath.arg(-g(0, 1) * g(1, 2) * g(2, 0)))
+
+
+@pytest.mark.parametrize("points", [
+    ((0, 0), (1, 0), (1e150, -4e153)),  # g13 and g23 are about 1e300: the product is inf - inf
+    ((0.5 - 1j, 0.3), (1 + 2j, -0.7), (3e150 - 1e150j, 2e300)),
+])
+def test_cartan_of_an_overflowing_triple_product(points):
+    # every Gram entry is finite; the phase comes from the entries' unit factors
+    value = cartan(*[BoundaryPoint.finite([z], t) for z, t in points])
+    assert abs(value - reference_cartan(points)) <= 1e-15
+
+
+def test_cartan_of_entries_near_1e200_matches_a_dilation():
+    points = [(0.3 - 0.7j, 0.4), (-1.1 + 0.2j, -1.3), (0.8 + 0.9j, 2.2)]
+    lifts = [standard_lift(BoundaryPoint.finite([z], t), 2).scaled(s)
+             for (z, t), s in zip(points, (1e100, -2e100j, 3e100 + 1e100j))]
+    g = [[chquad.herm_product(P, Q) for Q in lifts] for P in lifts]
+    assert all(1e198 < abs(g[i][j]) < 1e202 for i, j in ((0, 1), (1, 2), (2, 0)))
+    assert not cmath.isfinite(g[0][1] * g[1][2] * g[2][0])
+    lam = 2.0 ** 10  # (z, t) -> (lam z, lam^2 t), exactly in floats
+    dilated = [BoundaryPoint.finite([lam * z], lam * lam * t) for z, t in points]
+    expected = cartan(*dilated)
+    assert abs(cartan_from_lifts(*lifts) - expected) <= 1e-14
+    assert abs(expected - reference_cartan(points)) <= 1e-14
+
+
+def test_cartan_of_an_underflowing_triple_product():
+    # entries of 1e-220 pass a purely relative rule; their product underflows to 0
+    points = [BoundaryPoint.finite([z], t) for z, t in ((0.3, 0.4), (-1.1j, -1.3), (0.8, 2.2))]
+    lifts = [standard_lift(p, 2).scaled(1e-110) for p in points]
+    cfg = chquad.NumericConfig(0.0, 1e-9)
+    assert abs(cartan_from_lifts(*lifts, cfg) - cartan(*points)) <= 1e-14
+
+
 def test_moduli_from_gram_rejects_wrong_halfplane():
     with pytest.raises(CartanOutOfRange):
         moduli_from_gram(NormalizedGram(1.0, 1.0, -1.0))
