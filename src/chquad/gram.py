@@ -5,10 +5,10 @@ lifts P_i, the Hermitian matrix G = (<P_i, P_j>).  Rescaling lifts by
 nonzero lambda_i replaces G by the equivalent matrix with entries
 lambda_i conj(lambda_j) g_ij, and each equivalence class contains a
 unique normal form with zero diagonal, g12 = g23 = g34 = 1 and
-|g13| = 1.  Two quadruples are congruent under a holomorphic isometry
-precisely when their normal forms coincide, and congruent under an
-anti-holomorphic isometry precisely when the normal forms are complex
-conjugate.
+|g13| = 1, which ``normalize`` reads off the moduli point (X1, X2, A).
+Two quadruples are congruent under a holomorphic isometry precisely
+when their moduli points coincide, and under an anti-holomorphic one
+precisely when one is (conj X1, conj X2, -A) of the other.
 
 One kernel takes every Hermitian product of boundary points, with one
 coordinate list and one scale per lift, and decides nullity, distinct
@@ -47,14 +47,13 @@ class GramMatrix(Frozen, compare=False):
     """Hermitian m x m matrix of pairwise products of null lifts (m = 3 or 4).
 
     ``rows`` stores the entries as a tuple of tuples of Python complex
-    numbers, which is what the readers of the matrix index; ``entries``
-    is a read-only complex array built from them on each access, and
-    ``scale`` is the largest entry magnitude.  A matrix built directly is
-    checked with ``cfg`` (None: the default); one from ``gram_of`` or
-    ``gram_of_points`` is not.
+    numbers, which is what the readers of the matrix index, and
+    ``entries`` is a read-only complex array built from them on each
+    access.  A matrix built directly is checked with ``cfg`` (None: the
+    default); one from ``gram_of`` or ``gram_of_points`` is not.
     """
 
-    _fields = ("m", "scale")
+    _fields = ("m",)
 
     def __init__(self, m: int, rows: tuple, cfg: NumericConfig | None = None):
         if m not in (3, 4):
@@ -77,7 +76,7 @@ class GramMatrix(Frozen, compare=False):
             for j in range(i + 1, m):
                 if abs(rows[i][j]) <= tol:
                     raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
-        _set_gram(self, m, rows, cfg, scale)
+        _set_gram(self, m, rows, cfg)
 
     @property
     def entries(self) -> np.ndarray:
@@ -95,11 +94,10 @@ class GramMatrix(Frozen, compare=False):
                                for i, row in enumerate(rows)], cfg)
 
 
-def _set_gram(G: GramMatrix, m: int, rows: tuple, cfg: NumericConfig | None, scale: float):
+def _set_gram(G: GramMatrix, m: int, rows: tuple, cfg: NumericConfig | None):
     _setattr(G, "m", m)
     _setattr(G, "rows", rows)
     _setattr(G, "cfg", cfg)
-    _setattr(G, "scale", scale)
 
 
 class NormalizedGram(Frozen):
@@ -110,6 +108,8 @@ class NormalizedGram(Frozen):
     def __init__(self, g13: complex, g14: complex, g24: complex,
                  cfg: NumericConfig | None = None):
         g13, g14, g24 = complex(g13), complex(g14), complex(g24)
+        if not (cmath.isfinite(g13) and cmath.isfinite(g14) and cmath.isfinite(g24)):
+            raise InvalidParameter("normal form entries must be finite")
         _setattr(self, "g13", g13)
         _setattr(self, "g14", g14)
         _setattr(self, "g24", g24)
@@ -212,36 +212,29 @@ def _gram(coords, scales, c: NumericConfig) -> GramMatrix:
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
     G = object.__new__(GramMatrix)  # checked above: GramMatrix's __init__ does not run
-    _set_gram(G, m, tuple(map(tuple, rows)), c, max(mags))
+    _set_gram(G, m, tuple(map(tuple, rows)), c)
     return G
 
 
-def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:
-    """Unique normal form of the equivalence class of G.
+def _balanced(rows) -> tuple:
+    """Gram rows times 2^-e, e the midpoint of the binary exponents of min and max |g_ij|, i < j.
 
-    Rescales entry-wise, never touching lifts: first force g12 = 1,
-    then g23 = 1, then g34 = 1, each by scaling one index; finally the
-    real rescaling (a, 1/a, a, 1/a) with a = 1/sqrt(|g13|) makes
-    |g13| = 1 without disturbing the unit entries.
+    Exact, and it keeps a cross-ratio's products in the float range at any scale of the lifts.
     """
-    c = resolve(cfg)
+    m = len(rows)
+    exps = [math.frexp(abs(rows[i][j]))[1] for i in range(m) for j in range(i + 1, m)]
+    e = -((min(exps) + max(exps)) // 2)
+    return tuple(tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in row)
+                 for row in rows)
+
+
+def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:
+    """Unique normal form of G's equivalence class: the dictionary image of its moduli point."""
+    from .invariants import _moduli, gram_from_moduli
+
     if G.m != 4:
         raise InvalidParameter("normalization is defined for quadruples (m=4)")
-    e = G.rows
-    lam = [1 + 0j] * 4
-    for (i, j) in ((0, 1), (1, 2), (2, 3)):
-        cur = lam[i] * e[i][j]
-        if abs(cur) <= c.tol(G.scale * abs(lam[i])):
-            raise DegenerateEntry(f"entry ({i + 1},{j + 1}) too small to normalize")
-        lam[j] = (1.0 / cur).conjugate()
-    g13 = lam[0] * lam[2].conjugate() * e[0][2]
-    if abs(g13) <= c.tol(G.scale * abs(lam[0] * lam[2])):
-        raise DegenerateEntry("entry (1,3) too small to normalize")
-    a = 1.0 / math.sqrt(abs(g13))
-    lam = [v * r for v, r in zip(lam, (a, 1.0 / a, a, 1.0 / a))]
-    return NormalizedGram(lam[0] * lam[2].conjugate() * e[0][2],
-                          lam[0] * lam[3].conjugate() * e[0][3],
-                          lam[1] * lam[3].conjugate() * e[1][3], c)
+    return gram_from_moduli(_moduli(_balanced(G.rows), resolve(cfg)))
 
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:
@@ -282,12 +275,16 @@ def det_face(G: NormalizedGram, face) -> float:
 
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
-    """Are two quadruples congruent under a holomorphic isometry?"""
-    return normalized_gram_of_points(p, cfg).isclose(normalized_gram_of_points(q, cfg), cfg)
+    """Are two quadruples congruent under a holomorphic isometry, i.e. their moduli points close?"""
+    from .invariants import _moduli, _quadruple_gram
+
+    mp, mq = (_moduli(_quadruple_gram(x, cfg), cfg) for x in (p, q))
+    return mp.isclose(mq, cfg)
 
 
 def congruent_antiholomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
-    """Are two quadruples congruent under an anti-holomorphic isometry?"""
-    gp = normalized_gram_of_points(p, cfg)
-    gq = normalized_gram_of_points(q, cfg)
-    return gp.isclose(gq.conjugate(), cfg)
+    """Are two quadruples congruent under an anti-holomorphic isometry (X -> conj X, A -> -A)?"""
+    from .invariants import ModuliPoint, _moduli, _quadruple_gram
+
+    mp, mq = (_moduli(_quadruple_gram(x, cfg), cfg) for x in (p, q))
+    return mp.isclose(ModuliPoint(mq.x1.conjugate(), mq.x2.conjugate(), -mq.cartan, cfg), cfg)

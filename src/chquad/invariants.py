@@ -31,8 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import CartanOutOfRange, ZeroCrossRatio
-from .gram import FACES, NormalizedGram, _face_det, _triple, gram_of, gram_of_points
+from .errors import CartanOutOfRange, InvalidParameter, ZeroCrossRatio
+from .gram import FACES, NormalizedGram, _balanced, _face_det, _triple, gram_of, gram_of_points
 from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 
@@ -83,7 +83,7 @@ def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).rows, 0, 1, 2, 3)
+    return _cross_ratio(_balanced(gram_of((P1, P2, P3, P4), cfg).rows), 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
@@ -102,10 +102,12 @@ class ModuliPoint(Frozen):
 
     def __init__(self, x1: complex, x2: complex, cartan: float,
                  cfg: NumericConfig | None = None):
-        x1, x2 = complex(x1), complex(x2)
+        x1, x2, cartan = complex(x1), complex(x2), float(cartan)
+        if not (cmath.isfinite(x1) and cmath.isfinite(x2) and math.isfinite(cartan)):
+            raise InvalidParameter("moduli coordinates must be finite")
         _setattr(self, "x1", x1)
         _setattr(self, "x2", x2)
-        _setattr(self, "cartan", float(cartan))
+        _setattr(self, "cartan", cartan)
         _setattr(self, "cfg", cfg)
         c = resolve(cfg)
         if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:

@@ -33,7 +33,7 @@ class Frozen:
 
     def __init_subclass__(cls, compare: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls._fields)  # a tuple: every class names two or more fields
+        cls._key = attrgetter(*cls._fields)  # a tuple: each compared class names 2+ fields
         if not compare:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__

@@ -2,7 +2,6 @@
 
 import ast
 import cProfile
-import dataclasses
 import json
 import math
 import os
@@ -78,7 +77,7 @@ def test_lifts_store_python_complex(lifts):
         assert [bits(complex(v)) for v in coords] == [bits(v) for v in P.values]
 
 
-def test_gram_matrix_stores_rows_and_derives_its_scale():
+def test_gram_matrix_stores_rows():
     G = gram_of([standard_lift(p, 3) for p in QUAD])
     entries = G.entries
     assert not entries.flags.writeable and entries.shape == (4, 4)
@@ -86,9 +85,6 @@ def test_gram_matrix_stores_rows_and_derives_its_scale():
         [[bits(v) for v in row] for row in G.rows]
     assert GramMatrix(4, G.entries).rows == G.rows
     assert GramMatrix(4, [list(row) for row in G.rows]).rows == G.rows
-    assert G.scale == max(abs(v) for row in G.rows for v in row)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        G.scale = 1.0
     with pytest.raises(TypeError):
         GramMatrix(4, G.rows, None, 1.0)
 
@@ -310,8 +306,8 @@ def test_import_chquad_loads_no_submodule():
 LIBRARY = {"chquad.invariants", "chquad.moduli", "chquad.sampling", "chquad.varieties"}
 # the chquad modules each command must not load
 NOT_LOADED = {
-    "congruent": LIBRARY,
-    "normalize": LIBRARY,
+    "congruent": LIBRARY - {"chquad.invariants"},
+    "normalize": LIBRARY - {"chquad.invariants"},
     "invariants": {"chquad.sampling", "chquad.varieties"},
     "check-moduli": {"chquad.sampling", "chquad.varieties"},
     "reconstruct": {"chquad.sampling", "chquad.varieties"},

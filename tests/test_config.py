@@ -20,6 +20,7 @@ from chquad import (
     DegenerateEntry,
     GramMatrix,
     InvalidFace,
+    InvalidParameter,
     Isometry,
     ModuliPoint,
     NormalizedGram,
@@ -75,8 +76,8 @@ def test_normalize_uses_the_callers_config():
     want = gram_from_moduli(ModuliPoint(1e-10, 1.0, 0.2, FINE))
     lam = np.array([1.0, 1e6, 1.0, 1e6])
     G = GramMatrix(4, lam[:, None] * want.matrix() * lam[None, :])
-    with pytest.raises(DegenerateEntry):
-        normalize(G)
+    with pytest.raises(ZeroCrossRatio):
+        normalize(G)  # X1 = 1e-10 is below the default abs_tol
     got = normalize(G, FINE)
     assert got.cfg is FINE
     assert got.isclose(want, FINE)
@@ -175,6 +176,24 @@ def test_normal_form_guard_with_zero_abs_tol():
     NormalizedGram(-1, 1e-300, 1e-300, exact)
     NormalizedGram(-1, 1e300, 1e-300, exact)
     ModuliPoint(1e-300, 1e-300, 0.0, exact)
+
+
+NAN, INF = math.nan, math.inf
+
+
+# each value's finiteness check runs first: (nan, 0, 0) would fail the next check too
+@pytest.mark.parametrize("fields", [(NAN, 1, 0), (1, INF, 0), (1, 1, NAN), (1, 1, -INF),
+                                    (complex(0, NAN), 1, 0), (NAN, 0, 0)])
+def test_moduli_point_rejects_non_finite_fields(fields):
+    with pytest.raises(InvalidParameter, match="moduli coordinates must be finite"):
+        ModuliPoint(*fields)
+
+
+@pytest.mark.parametrize("fields", [(NAN, 1, 1), (1, 1, INF), (1j, 2, complex(0, NAN)),
+                                    (-1, complex(INF, 0), 1), (NAN, 0, 0)])
+def test_normal_form_rejects_non_finite_fields(fields):
+    with pytest.raises(InvalidParameter, match="normal form entries must be finite"):
+        NormalizedGram(*fields)
 
 
 def test_rows_hold_the_matrix_entries():

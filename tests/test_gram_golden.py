@@ -2,8 +2,9 @@
 
 The normal forms below were recorded before ``gram_of`` and
 ``normalize`` moved from per-entry numpy reductions to one scale per
-lift and Python complex scalars; the recursion and its multiplication
-order are unchanged, so a rewrite may move them by rounding only.
+lift and Python complex scalars, and before ``normalize`` became the
+dictionary image of the moduli point; a rewrite may move them by
+rounding only.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import pytest
 
 from chquad import (
     BoundaryPoint,
-    DegenerateEntry,
+    CartanOutOfRange,
     GramMatrix,
     ModuliPoint,
     NumericConfig,
@@ -160,26 +161,34 @@ def test_normalize_golden_value(name):
         assert abs(got - want) <= REL * max(abs(N.g13), abs(N.g14), abs(N.g24), 1.0)
 
 
-def test_normalize_rejects_small_unit_entry():
-    # g12 passes GramMatrix's default check but not a coarser tolerance
+def test_normalize_accepts_small_unit_entry(normal_form_ulps):
+    # g12 passes GramMatrix's default check but not a coarser tolerance; X2 = 1e-3 is no
+    # smaller than abs_tol, so the normal form exists under both.  The entries are negated:
+    # with all of them positive every face's triple product is positive, A = pi, and no
+    # quadruple realizes the matrix
+    coarse = NumericConfig(abs_tol=1e-9, rel_tol=1e-2)
     entries = np.ones((4, 4), dtype=complex) - np.eye(4)
     entries[0, 1] = entries[1, 0] = 1e-3
-    with pytest.raises(DegenerateEntry, match=r"entry \(1,2\)"):
-        normalize(GramMatrix(4, entries), NumericConfig(abs_tol=1e-9, rel_tol=1e-2))
-    # and the default tolerance, after g12 = 1e6 has inflated lambda_2's scale
+    with pytest.raises(CartanOutOfRange):
+        normalize(GramMatrix(4, entries), coarse)
+    G = GramMatrix(4, -entries)
+    N = normalize(G, coarse)
+    assert N.cfg is coarse and max(normal_form_ulps(N, G.rows)) <= 4.0
+    # and the default tolerance, with g12 = -1e6 and g23 = -1.5e-3
     entries = np.ones((4, 4), dtype=complex) - np.eye(4)
     entries[0, 1] = entries[1, 0] = 1e6
     entries[1, 2] = entries[2, 1] = 1.5e-3
-    with pytest.raises(DegenerateEntry, match=r"entry \(2,3\)"):
-        normalize(GramMatrix(4, entries))
+    G = GramMatrix(4, -entries)
+    assert max(normal_form_ulps(normalize(G), G.rows)) <= 4.0
 
 
-def test_normalize_rejects_small_g13():
+def test_normalize_accepts_small_g13(normal_form_ulps):
     entries = np.ones((4, 4), dtype=complex) - np.eye(4)
     entries[0, 2] = cmath.rect(1e-3, 0.7)
     entries[2, 0] = entries[0, 2].conjugate()
-    with pytest.raises(DegenerateEntry, match=r"entry \(1,3\)"):
-        normalize(GramMatrix(4, entries), NumericConfig(abs_tol=1e-9, rel_tol=1e-2))
+    G = GramMatrix(4, -entries)
+    N = normalize(G, NumericConfig(abs_tol=1e-9, rel_tol=1e-2))
+    assert max(normal_form_ulps(N, G.rows)) <= 4.0
 
 
 def test_gram_of_takes_one_scale_per_lift(monkeypatch):

@@ -2,8 +2,8 @@
 
 ``gram_of_points(points)`` lifts to plain coordinate lists; it must give
 exactly ``gram_of(standard_lifts(points))``: the same rows to the last bit
-(compared as packed doubles, so that -0.0 and 0.0 differ), the same scale,
-and the same error type and message.
+(compared as packed doubles, so that -0.0 and 0.0 differ) and the same
+error type and message.
 """
 
 import math
@@ -37,7 +37,7 @@ def packed(values) -> bytes:
 
 
 def gram_bits(G) -> tuple:
-    return G.m, tuple(map(packed, G.rows)), struct.pack("<d", G.scale), G.cfg
+    return G.m, tuple(map(packed, G.rows)), G.cfg
 
 
 SAMPLED = [(kind, n) for kind in KINDS for n in (2, 3)] + [("c_plane", 1)]

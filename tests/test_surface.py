@@ -103,7 +103,7 @@ VALUES = [
      "BoundaryPoint(at_infinity=False, z=((0.5-1j),), t=2.0)"),
     (Isometry, (1, [[1, 0], [0, 1]]),
      "Isometry(n=1, matrix=array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]]))"),
-    (GramMatrix, (3, [[0, 1, 2j], [1, 0, -1], [-2j, -1, 0]]), "GramMatrix(m=3, scale=2.0)"),
+    (GramMatrix, (3, [[0, 1, 2j], [1, 0, -1], [-2j, -1, 0]]), "GramMatrix(m=3)"),
     (NormalizedGram, (1j, 2 + 0j, 0.5 - 1j),
      "NormalizedGram(g13=1j, g14=(2+0j), g24=(0.5-1j))"),
     (ModuliPoint, (0.5, 0.5, -math.pi / 2),
