@@ -10,12 +10,14 @@ Two quadruples are congruent under a holomorphic isometry precisely
 when their moduli points coincide, and under an anti-holomorphic one
 precisely when one is (conj X1, conj X2, -A) of the other.
 
-One kernel takes every Hermitian product of boundary points, with one
-coordinate list and one scale per lift, and decides nullity, distinct
-points and finiteness.  It has two entry points: ``gram_of`` for lifts
-(``HermitianVector``s) and ``gram_of_points`` for boundary points, which
-lifts each point to a plain coordinate list and builds no
-``HermitianVector`` on the way.
+Gram matrices come from two places.  ``gram_of`` takes the products of
+any null lifts (``HermitianVector``s) in one kernel that checks each
+lift's nullity and holds each pair to tol(s_i s_j), s_i the scale of
+lift i.  ``gram_of_points`` builds no lift: for standard lifts each entry
+has a closed form in the points' horospherical coordinates, and each
+pair is held to a bound by that entry's own terms, which Heisenberg
+translations and rotations leave unchanged and dilations scale with the
+entry.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (
     NotNormalForm,
     NotNull,
 )
-from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_list, _lift,
-                        _numpy_shape, _read_only, _scale, infer_dimension)
+from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_field,
+                        _json_list, _numpy_shape, _read_only, infer_dimension)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 if TYPE_CHECKING:
@@ -151,8 +153,11 @@ class NormalizedGram(Frozen):
                 "g24": [self.g24.real, self.g24.imag]}
 
     @classmethod
-    def from_json(cls, obj: dict, cfg: NumericConfig | None = None) -> "NormalizedGram":
-        return cls(complex(*obj["g13"]), complex(*obj["g14"]), complex(*obj["g24"]), cfg)
+    def from_json(cls, obj: dict, cfg: NumericConfig | None = None,
+                  path: str = "normal_form") -> "NormalizedGram":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        return cls(*(_json_complex(_json_field(obj, k, path), f"{path}.{k}")
+                     for k in ("g13", "g14", "g24")), cfg)
 
 
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
@@ -168,15 +173,63 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
 
 
 def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
-    """Gram matrix of the standard lifts of three or four boundary points.
+    """Gram matrix of the standard lifts of three or four boundary points, in closed form.
 
-    Equal, entry for entry and error for error, to
-    ``gram_of(standard_lifts(points), cfg)``, but builds no ``HermitianVector``.
+    For finite points i < j the entry is
+    g_ij = -|z_i - z_j|^2 + i(t_i - t_j + 2 Im<z_i - z_j, z_j>), the squared
+    Koranyi-Cygan distance in modulus, and g_ij = 1 when one point is at
+    infinity.  Points i and j coincide when |g_ij| <= tol(|dz|^2 + |dt| +
+    2|dz||z_j|), a bound by the entry's own terms, and two points at infinity
+    coincide.  A pair whose entry or bound leaves the float range raises
+    OverflowError naming the coordinates' magnitude, or InvalidParameter when
+    a coordinate is not finite.
     """
-    n = infer_dimension(points)
-    coords = [_lift(p, n) for p in points]
-    _check_count(len(coords))
-    return _gram(coords, [_scale(z) for z in coords], resolve(cfg))
+    infer_dimension(points)  # one dimension, and not every point at infinity
+    m = len(points)
+    _check_count(m)
+    c = resolve(cfg)
+    a, r = c.abs_tol, c.rel_tol
+    norms = [math.hypot(*[x for v in p.z for x in (v.real, v.imag)]) for p in points]
+    rows = [[0j] * m for _ in range(m)]
+    for i in range(m - 1):
+        p = points[i]
+        for j in range(i + 1, m):
+            q = points[j]
+            if p.at_infinity or q.at_infinity:
+                if p.at_infinity and q.at_infinity:
+                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+                g = 1 + 0j
+            else:
+                dz2 = im = 0.0
+                for u, v in zip(p.z, q.z):
+                    d = u - v
+                    dz2 += d.real * d.real + d.imag * d.imag
+                    im += d.imag * v.real - d.real * v.imag
+                dt = p.t - q.t
+                g = complex(0.0 - dz2, dt + 2.0 * im)  # 0.0 - 0.0 is +0.0, as <P_i, P_j> gives
+                try:
+                    size = abs(g)
+                except OverflowError:  # |g| of finite parts beyond the float range
+                    size = math.inf
+                bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norms[j]
+                if not size < math.inf > bound:  # also when either is NaN
+                    raise _out_of_range(p, q, i, j)
+                if size <= bound:
+                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+            rows[i][j] = g
+            rows[j][i] = g.conjugate()
+    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __init__ does not run
+    _set_gram(G, m, tuple(map(tuple, rows)), c)
+    return G
+
+
+def _out_of_range(p, q, i: int, j: int) -> Exception:
+    """The error of finite points i < j whose Gram entry or distinctness bound is not finite."""
+    parts = [x for v in p.z + q.z for x in (v.real, v.imag)] + [p.t, q.t]
+    if all(map(math.isfinite, parts)):
+        return OverflowError(f"<P{i + 1},P{j + 1}> overflows for coordinates of magnitude "
+                             f"{max(map(abs, parts))}")
+    return InvalidParameter("Gram matrix entries must be finite")
 
 
 def _check_count(m: int):

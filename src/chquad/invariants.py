@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import CartanOutOfRange, InvalidParameter, ZeroCrossRatio
 from .gram import FACES, NormalizedGram, _balanced, _face_det, _triple, gram_of, gram_of_points
@@ -37,6 +38,7 @@ from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 
 HALF_PI = math.pi / 2.0
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _clamp_cartan(angle: float, cfg: NumericConfig) -> float:
@@ -49,18 +51,33 @@ def _clamp_cartan(angle: float, cfg: NumericConfig) -> float:
 
 
 def _cross_ratio(g, i, j, k, l) -> complex:
-    """X(p_i, p_j, p_k, p_l) = g_ki g_lj / (g_li g_kj), read off Gram rows g (0-based)."""
+    """X(p_i, p_j, p_k, p_l) = g_ki g_lj / (g_li g_kj), read off Gram rows g (0-based).
+
+    A product beyond the normal float range (subnormal, 0, inf or NaN) is
+    taken again on the balanced rows, whose products stay in it.
+    """
+    num, den = g[k][i] * g[l][j], g[l][i] * g[k][j]
+    try:
+        if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
+            return num / den
+    except OverflowError:  # |num| or |den| of finite parts beyond the float range
+        pass
+    g = _balanced(g)
     return g[k][i] * g[l][j] / (g[l][i] * g[k][j])
 
 
 def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
     """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based).
 
-    A product beyond the float range (inf, NaN or 0) takes its phase from
-    the unit factors g/|g| instead, whose product cannot leave it.
+    A product beyond the normal float range (subnormal, 0, inf or NaN) takes
+    its phase from the unit factors g/|g| instead, whose product stays in it.
     """
     t = _triple(g, i, j, k)
-    if t == 0 or not cmath.isfinite(t):
+    try:
+        normal = _TINY <= abs(t) <= _HUGE
+    except OverflowError:  # |t| of finite parts beyond the float range
+        normal = False
+    if not normal:
         p, q, r = g[i][j], g[j][k], g[k][i]
         t = p / abs(p) * (q / abs(q)) * (r / abs(r))
     return _clamp_cartan(cmath.phase(-t), resolve(cfg))
@@ -83,7 +100,7 @@ def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    return _cross_ratio(_balanced(gram_of((P1, P2, P3, P4), cfg).rows), 0, 1, 2, 3)
+    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).rows, 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
@@ -140,6 +157,8 @@ class CrossRatioTriple(Frozen):
     _fields = ("x1", "x2", "x3")
 
     def __init__(self, x1: complex, x2: complex, x3: complex):
+        if not (cmath.isfinite(x1) and cmath.isfinite(x2) and cmath.isfinite(x3)):
+            raise InvalidParameter("cross-ratios must be finite")
         _setattr(self, "x1", x1)
         _setattr(self, "x2", x2)
         _setattr(self, "x3", x3)
@@ -158,8 +177,10 @@ class CrossRatioTriple(Frozen):
                 "x3": [self.x3.real, self.x3.imag]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CrossRatioTriple":
-        return cls(complex(*obj["x1"]), complex(*obj["x2"]), complex(*obj["x3"]))
+    def from_json(cls, obj: dict, path: str = "cross_ratios") -> "CrossRatioTriple":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        return cls(*(_json_complex(_json_field(obj, k, path), f"{path}.{k}")
+                     for k in ("x1", "x2", "x3")))
 
 
 def cross_ratio_triple(points, cfg: NumericConfig | None = None) -> CrossRatioTriple:

@@ -259,7 +259,7 @@ def test_overflowing_lift_exits_two_naming_the_magnitude(tmp_path, capsys):
     code, out = run(capsys, "invariants", "--input", write(tmp_path, "q.json", {"points": points}))
     assert code == 2
     assert strict_json(out) == {"error": "malformed-input",
-                                "detail": "|z|^2 overflows for coordinates of magnitude 1e+200"}
+                                "detail": "<P1,P3> overflows for coordinates of magnitude 1e+200"}
 
 
 def test_non_finite_output_exits_two(capsys, monkeypatch):

@@ -3,10 +3,13 @@
 The values in GOLDEN were recorded while ``gram_of`` still stored its
 products in a numpy array and every reader called ``entries.tolist()``.
 The products and the readers do the same arithmetic on
-``GramMatrix.rows``, so every value must match bit for bit.  The normal
-form is pinned through the moduli point instead: it is the dictionary
-image of the moduli read off the rows, bit for bit, and each entry lies
-within 4 ulp of that image computed with 50 digits.
+``GramMatrix.rows``, so every value must match bit for bit.  The moduli
+and triples of points were recorded again when ``gram_of_points`` took
+its closed form, and each of X1, X2, X3 and A lies within 4 ulp of the
+exact oracle.  The normal form is pinned through the moduli point
+instead: it is the dictionary image of the moduli read off the rows, bit
+for bit, and each entry lies within 4 ulp of that image computed with 50
+digits.
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from chquad import (
     normalize,
     standard_lift,
 )
+from chquad.gram import gram_of_points
 from chquad.hermitian import HermitianVector
 from chquad.invariants import _moduli, cartan_from_lifts, cross_ratio_from_lifts
 from chquad.varieties import certify_noninjectivity
@@ -120,12 +124,12 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                      (-4.420000000000001, 0.8000000000000012),
                                      (-2.0725000000000007, 1.4400000000000002),
                                      (-2.2625000000000006, 4.97)),
-                           'moduli': ((-0.07982311924013655, -0.823359319868545),
-                                      (1.5470453610870514, 0.9819351063663163),
-                                      -1.517577086900415),
-                           'triple': ((-0.07982311924013655, -0.823359319868545),
-                                      (1.5470453610870514, 0.9819351063663163),
-                                      (1.53983445285308, -1.59232720159534)),
+                           'moduli': ((-0.07982311924013631, -0.8233593198685452),
+                                      (1.5470453610870516, 0.9819351063663163),
+                                      -1.5175770869004146),
+                           'triple': ((-0.07982311924013631, -0.8233593198685452),
+                                      (1.5470453610870516, 0.9819351063663163),
+                                      (1.5398344528530805, -1.5923272015953407)),
                            'from_lifts': ((-0.07982311924013655, -0.823359319868545),
                                           -1.517577086900415)},
           'generic CH^2 rescaled': {'upper': ((5.330000000000001, 2.4600000000000004),
@@ -134,12 +138,12 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                               (0.6475000000000017, 6.730000000000001),
                                               (-1036.2507200000002, 719.99896375),
                                               (-15475.619454999998, -5545.015475625001)),
-                                    'moduli': ((-0.07982311924013655, -0.823359319868545),
-                                               (1.5470453610870514, 0.9819351063663163),
-                                               -1.517577086900415),
-                                    'triple': ((-0.07982311924013655, -0.823359319868545),
-                                               (1.5470453610870514, 0.9819351063663163),
-                                               (1.53983445285308, -1.59232720159534)),
+                                    'moduli': ((-0.07982311924013631, -0.8233593198685452),
+                                               (1.5470453610870516, 0.9819351063663163),
+                                               -1.5175770869004146),
+                                    'triple': ((-0.07982311924013631, -0.8233593198685452),
+                                               (1.5470453610870516, 0.9819351063663163),
+                                               (1.5398344528530805, -1.5923272015953407)),
                                     'from_lifts': ((-0.0798231192401366, -0.823359319868545),
                                                    -1.517577086900415)},
           'R-circle CH^2 through infinity': {'upper': ((-2.25, 0.0),
@@ -148,12 +152,8 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                                        (1.0, 0.0),
                                                        (-2.2499999999999996, 0.0),
                                                        (1.0, 0.0)),
-                                             'moduli': ((0.24999999999999994, -0.0),
-                                                        (0.25, -0.0),
-                                                        -0.0),
-                                             'triple': ((0.24999999999999994, -0.0),
-                                                        (0.25, -0.0),
-                                                        (1.0000000000000002, -0.0)),
+                                             'moduli': ((0.25, -0.0), (0.25, -0.0), -0.0),
+                                             'triple': ((0.25, -0.0), (0.25, -0.0), (1.0, -0.0)),
                                              'from_lifts': ((0.24999999999999994, -0.0), -0.0)},
           'chain CH^3': {'upper': ((8.881784197001252e-16, -2.5),
                                    (8.881784197001252e-16, -3.0),
@@ -161,11 +161,11 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                    (8.881784197001252e-16, -0.5),
                                    (8.881784197001252e-16, -3.0),
                                    (8.881784197001252e-16, -2.5)),
-                         'moduli': ((3.272727272727273, 4.404190510909711e-15),
-                                    (-2.272727272727273, 5.285028613091654e-15),
+                         'moduli': ((3.272727272727273, -0.0),
+                                    (-2.272727272727273, 0.0),
                                     1.5707963267948966),
-                         'triple': ((3.272727272727273, 4.404190510909711e-15),
-                                    (-2.272727272727273, 5.285028613091654e-15),
+                         'triple': ((3.272727272727273, -0.0),
+                                    (-2.272727272727273, 0.0),
                                     (0.6944444444444444, 0.0)),
                          'from_lifts': ((3.272727272727273, 4.404190510909711e-15),
                                         1.5707963267948966)},
@@ -175,10 +175,10 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                       (-0.81, 0.0),
                                       (-6.76, 0.0),
                                       (-2.8899999999999997, 0.0)),
-                            'moduli': ((2.655692729766803, 0.0), (0.39643347050754446, 0.0), -0.0),
-                            'triple': ((2.655692729766803, 0.0),
-                                       (0.39643347050754446, 0.0),
-                                       (0.14927685950413222, 0.0)),
+                            'moduli': ((2.6556927297668054, 0.0), (0.3964334705075447, 0.0), -0.0),
+                            'triple': ((2.6556927297668054, 0.0),
+                                       (0.3964334705075447, 0.0),
+                                       (0.1492768595041322, 0.0)),
                             'from_lifts': ((2.655692729766803, 0.0), -0.0)},
           'generic CH^3': {'upper': ((-5.380000000000001, 4.640000000000001),
                                      (1.0, 0.0),
@@ -189,12 +189,12 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                            'normal': ((-0.757265922970056, -0.6531066696247323),
                                       (0.01374668145976149, 0.8854618219281215),
                                       (-0.7590253698171052, -0.2716585931844252)),
-                           'moduli': ((0.7989512308613682, 0.4363588248770906),
-                                      (0.01752885409868962, 1.1290820356877085),
+                           'moduli': ((0.7989512308613683, 0.4363588248770909),
+                                      (0.017528854098689414, 1.1290820356877085),
                                       -0.7116796977526944),
-                           'triple': ((0.7989512308613682, 0.4363588248770906),
-                                      (0.01752885409868962, 1.1290820356877085),
-                                      (1.1573863137315945, -0.44622056828892404)),
+                           'triple': ((0.7989512308613683, 0.4363588248770909),
+                                      (0.017528854098689414, 1.1290820356877085),
+                                      (1.1573863137315947, -0.4462205682889241)),
                            'from_lifts': ((0.7989512308613682, 0.4363588248770906),
                                           -0.7116796977526944)},
           'generic CH^3 rescaled': {'upper': ((7.330000000000001, 3.060000000000001),
@@ -203,12 +203,12 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                               (0.125, -1.5),
                                               (-2696.249035, -965.0026962499999),
                                               (249.997, 3000.00025)),
-                                    'moduli': ((0.7989512308613682, 0.4363588248770906),
-                                               (0.01752885409868962, 1.1290820356877085),
+                                    'moduli': ((0.7989512308613683, 0.4363588248770909),
+                                               (0.017528854098689414, 1.1290820356877085),
                                                -0.7116796977526944),
-                                    'triple': ((0.7989512308613682, 0.4363588248770906),
-                                               (0.01752885409868962, 1.1290820356877085),
-                                               (1.1573863137315945, -0.44622056828892404)),
+                                    'triple': ((0.7989512308613683, 0.4363588248770909),
+                                               (0.017528854098689414, 1.1290820356877085),
+                                               (1.1573863137315947, -0.4462205682889241)),
                                     'from_lifts': ((0.798951230861368, 0.4363588248770905),
                                                    -0.7116796977526942)},
           'generic CH^3 reordered': {'upper': ((1.0, 0.0),
@@ -217,11 +217,11 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                                (-4.182500000000001, -4.700000000000001),
                                                (-5.380000000000001, 4.640000000000001),
                                                (-5.3925, 1.93)),
-                                     'moduli': ((0.01752885409868962, 1.1290820356877085),
-                                                (0.7989512308613682, -0.4363588248770906),
-                                                0.8435930041234437),
-                                     'triple': ((0.01752885409868962, 1.1290820356877085),
-                                                (0.7989512308613682, -0.4363588248770906),
+                                     'moduli': ((0.017528854098689414, 1.1290820356877085),
+                                                (0.7989512308613683, -0.4363588248770909),
+                                                0.843593004123444),
+                                     'triple': ((0.017528854098689414, 1.1290820356877085),
+                                                (0.7989512308613683, -0.4363588248770909),
                                                 (0.7522060863018583, -0.2900067361413797)),
                                      'from_lifts': ((0.01752885409868962, 1.1290820356877085),
                                                     0.8435930041234437)},
@@ -245,12 +245,12 @@ GOLDEN = {'witness t=2': {'upper': ((1.0, 0.0),
                                                  (0.125, -1.5),
                                                  (-0.002696249035, -0.0009650026962500004),
                                                  (249.997, 3000.00025)),
-                                       'moduli': ((0.7989512308613685, 0.4363588248770908),
-                                                  (0.01752885409868939, 1.1290820356877087),
-                                                  -0.7116796977526945),
-                                       'triple': ((0.7989512308613685, 0.4363588248770908),
-                                                  (0.01752885409868939, 1.1290820356877087),
-                                                  (1.1573863137315945, -0.44622056828892415)),
+                                       'moduli': ((0.7989512308613685, 0.43635882487709077),
+                                                  (0.017528854098689393, 1.129082035687709),
+                                                  -0.7116796977526944),
+                                       'triple': ((0.7989512308613685, 0.43635882487709077),
+                                                  (0.017528854098689393, 1.129082035687709),
+                                                  (1.1573863137315947, -0.446220568288924)),
                                        'from_lifts': ((0.7989512308613684, 0.43635882487709055),
                                                       -0.7116796977526945)},
           'certificate': {2.0: {'12': [1.0, 0.0],
@@ -287,7 +287,7 @@ def case_lifts(name):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_gram_rows_bitwise_golden(name, normal_form_ulps):
+def test_gram_rows_bitwise_golden(name, normal_form_ulps, invariant_ulps):
     points, lifts = case_lifts(name)
     want = GOLDEN[name]
     G = gram_of(lifts)
@@ -309,6 +309,7 @@ def test_gram_rows_bitwise_golden(name, normal_form_ulps):
     assert [bits(m.x1), bits(m.x2), bits(m.cartan)] == [pair(x1), pair(x2), bits(a)]
     x = cross_ratio_triple(points)
     assert [bits(x.x1), bits(x.x2), bits(x.x3)] == [pair(z) for z in want["triple"]]
+    assert max(invariant_ulps(points, gram_of_points(points).rows)) <= 4.0
     cross, cartan = want["from_lifts"]
     assert bits(cross_ratio_from_lifts(*lifts)) == pair(cross)
     assert bits(cartan_from_lifts(*lifts[:3])) == bits(cartan)

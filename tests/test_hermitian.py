@@ -14,6 +14,7 @@ from chquad import (
     ZeroVector,
     apply_isometry,
     form_matrix,
+    gram_of,
     herm_product,
     moduli_coordinates,
     point_from_lift,
@@ -129,12 +130,16 @@ def test_scale_overflow_names_the_magnitude(coords):
 
 
 def test_gram_product_overflow_names_the_magnitude():
-    # every lift passes its scale and nullity checks, but |<P1,P2>| of finite parts overflows
+    # both parts of <P1,P2> are finite, but its modulus overflows
     quad = [BoundaryPoint.finite([0.57e154], 0.65e308), BoundaryPoint.finite([-0.57e154], -0.65e308),
             BoundaryPoint.infinity(), BoundaryPoint.finite([0], 0.0)]
+    with pytest.raises(OverflowError, match=re.escape("<P1,P2> overflows for coordinates of "
+                                                      "magnitude 6.5e+307") + "$"):
+        moduli_coordinates(quad)
+    lifts = [standard_lift(p, 2) for p in quad]  # the lifts path names the product's parts
     with pytest.raises(OverflowError, match=re.escape("|<P1,P2>| overflows for parts of "
                                                       "magnitude 1.3e+308") + "$"):
-        moduli_coordinates(quad)
+        gram_of(lifts)
 
 
 def test_lift_scale_overflow_names_the_magnitude():

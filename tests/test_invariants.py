@@ -11,9 +11,11 @@ from chquad import (
     CoincidentPoints,
     CrossRatioTriple,
     HermitianVector,
+    InvalidParameter,
     ModuliPoint,
     NormalizedGram,
     NotNull,
+    NumericConfig,
     ZeroCrossRatio,
     cartan,
     cartan_from_lifts,
@@ -132,13 +134,14 @@ def count_calls(monkeypatch, module, name):
     pytest.param(lambda p: cross_ratio(*p), 4, id="cross_ratio"),
 ])
 def test_one_gram_per_quadruple(monkeypatch, invariant, points):
-    # one run of the Gram kernel on the points' lifts, and no lift object built
+    # one Gram matrix, in closed form: no lift, neither as a list nor as an object
     p, _ = counterexample_pair(2.0)
     lifts = count_calls(monkeypatch, chquad.hermitian, "_lift")
-    kernels = count_calls(monkeypatch, chquad.gram, "_gram")
     lift_objects = count_calls(monkeypatch, chquad.hermitian, "standard_lift")
+    builds = count_calls(monkeypatch, chquad.gram, "gram_of_points")
+    kernels = count_calls(monkeypatch, chquad.gram, "_gram")
     invariant(p[:points])
-    assert (len(lifts), len(kernels), len(lift_objects)) == (points, 1, 0)
+    assert (len(lifts), len(lift_objects), len(builds), len(kernels)) == (0, 0, 1, 0)
 
 
 def test_isometry_invariance():
@@ -339,3 +342,67 @@ def test_moduli_json_round_trip():
     assert ModuliPoint.from_json(m.to_json()).isclose(m)
     t = CrossRatioTriple(1j, 2.0, -3.0 + 1j)
     assert CrossRatioTriple.from_json(t.to_json()).isclose(t)
+
+
+@pytest.mark.parametrize("cls,field,value,message", [
+    (NormalizedGram, "g13", [1, 0, 2], "normal_form.g13: expected [re, im]"),
+    (NormalizedGram, "g14", None, "normal_form: missing key 'g14'"),
+    (NormalizedGram, "g24", [1, "0"], "normal_form.g24[1]: expected a number"),
+    (CrossRatioTriple, "x1", [1, 0, 2], "cross_ratios.x1: expected [re, im]"),
+    (CrossRatioTriple, "x3", None, "cross_ratios: missing key 'x3'"),
+    (CrossRatioTriple, "x2", "0.5", "cross_ratios.x2: expected [re, im]"),
+])
+def test_from_json_names_the_malformed_field(cls, field, value, message):
+    obj = (NormalizedGram(-1j, 2.0, 1j) if cls is NormalizedGram
+           else CrossRatioTriple(1j, 2.0, -3.0 + 1j)).to_json()
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError) as info:
+        cls.from_json(obj)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=r": expected an object$"):
+        cls.from_json([obj])
+
+
+@pytest.mark.parametrize("fields", [(math.nan, 1, 1), (1, complex(0, math.inf), 1),
+                                    (1, 1, complex(math.nan, math.nan))])
+def test_cross_ratio_triple_rejects_non_finite_fields(fields):
+    with pytest.raises(InvalidParameter, match="cross-ratios must be finite"):
+        CrossRatioTriple(*fields)
+
+
+GENERIC3 = (BoundaryPoint.finite([0.3 - 0.7j, -1.1 + 0.2j], 0.4),
+            BoundaryPoint.finite([-0.5 + 0.1j, 0.8 + 0.9j], -1.3),
+            BoundaryPoint.infinity(),
+            BoundaryPoint.finite([1.2 + 0.6j, 0.05 - 0.4j], 2.2))
+
+
+def dilated(points, lam):
+    return tuple(p if p.at_infinity
+                 else BoundaryPoint.finite([lam * v for v in p.z], lam * lam * p.t)
+                 for p in points)
+
+
+@pytest.mark.parametrize("lam", [1e80, 1e-80, 1e-85, 1e150, 1e-150])
+def test_cross_ratios_of_points_at_extreme_scales(lam):
+    # Gram entries near lam^2: their products leave the float range (nan at 1e80, a division
+    # by zero at 1e-85, subnormal digits lost at 1e-80) unless taken on balanced rows
+    fine = NumericConfig(0.0, 1e-9)
+    q = dilated(GENERIC3, lam)
+    t0, m0 = cross_ratio_triple(GENERIC3, fine), moduli_coordinates(GENERIC3, fine)
+    t, m = cross_ratio_triple(q, fine), moduli_coordinates(q, fine)
+    for got, want in ((t.x1, t0.x1), (t.x2, t0.x2), (t.x3, t0.x3), (m.x1, m0.x1), (m.x2, m0.x2),
+                      (cross_ratio(*q, fine), t0.x1)):
+        assert abs(got - want) <= 4e-15 * abs(want)
+    assert abs(m.cartan - m0.cartan) <= 4e-16
+
+
+def test_cartan_of_a_subnormal_triple_product():
+    # dilated by 2^-176, the triple product is about 2^-1056 |T|: subnormal, not zero
+    fine = NumericConfig(0.0, 1e-9)
+    q = (BoundaryPoint.finite([0j, 0j], -2.0), BoundaryPoint.finite([0j, 0j], 2.0625),
+         BoundaryPoint.finite([0j, 1.4375j], 0.0), BoundaryPoint.finite([0j, 0j], 0.0))
+    want = cartan(*q[:3], fine)
+    assert abs(cartan(*dilated(q, math.ldexp(1.0, -176))[:3], fine) - want) <= 4e-16
