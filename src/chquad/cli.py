@@ -96,16 +96,17 @@ def _quadruple_json(n: int, points) -> dict:
 def _cmd_invariants(args, cfg):
     obj = _read_json(args)
     from .hermitian import infer_dimension
-    from .invariants import cross_ratio_triple
-    from .moduli import classify, moduli_coordinates
+    from .invariants import _cross_ratios, _moduli, _quadruple_gram
+    from .moduli import classify
 
     points = _points_from_json(obj)
     n = infer_dimension(points)
-    m = moduli_coordinates(points, cfg)
+    g = _quadruple_gram(points, cfg)  # one Gram matrix for the moduli and the triple
+    m = _moduli(g, cfg)
     return {
         "n": n,
         "moduli": m.to_json(),
-        "cross_ratios": cross_ratio_triple(points, cfg).to_json(),
+        "cross_ratios": _cross_ratios(g).to_json(),
         "classification": classify(m, cfg).to_json(),
     }
 

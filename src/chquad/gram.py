@@ -17,7 +17,10 @@ lift i.  ``gram_of_points`` builds no lift: for standard lifts each entry
 has a closed form in the points' horospherical coordinates, and each
 pair is held to a bound by that entry's own terms, which Heisenberg
 translations and rotations leave unchanged and dilations scale with the
-entry.
+entry.  Its kernel, ``_points_rows``, reads each point once (z as plain
+floats, t, |z|, and the common dimension), runs each pair on those
+floats and returns bare rows: the invariants, the Cartan angle and the
+congruence tests read those rows and build no ``GramMatrix``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .errors import (
     NotNull,
 )
 from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_field,
-                        _json_list, _numpy_shape, _read_only, infer_dimension)
-from .numeric import Frozen, NumericConfig, _setattr, resolve
+                        _json_list, _numpy_shape, _read_only)
+from .numeric import Frozen, NumericConfig, _overflow, _setattr, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +70,11 @@ class GramMatrix(Frozen, compare=False):
         flat = [v for row in rows for v in row]
         if not all(map(cmath.isfinite, flat)):
             raise InvalidParameter("Gram matrix entries must be finite")
-        scale = max(map(abs, flat))
+        try:
+            scale = max(map(abs, flat))
+        except OverflowError:  # |g_ij| of finite parts beyond the float range
+            raise _overflow(*((f"g{i + 1}{j + 1}", rows[i][j])
+                              for i in range(m) for j in range(m))) from None
         tol = resolve(cfg).tol(scale)
         if any(abs(rows[i][j] - rows[j][i].conjugate()) > tol
                for i in range(m) for j in range(i, m)):
@@ -117,11 +124,14 @@ class NormalizedGram(Frozen):
         _setattr(self, "g24", g24)
         _setattr(self, "cfg", cfg)
         c = resolve(cfg)
-        if abs(abs(g13) - 1.0) > c.tol(1.0):
-            raise NotNormalForm(f"|g13| must be 1, got {abs(g13)}")
-        r14 = abs(g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
-        if r14 == 0.0 or c.abs_tol * r14 >= 1.0 or abs(g24) <= c.abs_tol * r14:
-            raise DegenerateEntry("g14 and g24 must be nonzero in a normal form")
+        try:
+            if abs(abs(g13) - 1.0) > c.tol(1.0):
+                raise NotNormalForm(f"|g13| must be 1, got {abs(g13)}")
+            r14 = abs(g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
+            if r14 == 0.0 or c.abs_tol * r14 >= 1.0 or abs(g24) <= c.abs_tol * r14:
+                raise DegenerateEntry("g14 and g24 must be nonzero in a normal form")
+        except OverflowError:  # a modulus of finite parts beyond the float range
+            raise _overflow(("g13", g13), ("g14", g14), ("g24", g24)) from None
 
     @property
     def rows(self) -> tuple:
@@ -182,45 +192,70 @@ def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
     2|dz||z_j|), a bound by the entry's own terms, and two points at infinity
     coincide.  A pair whose entry or bound leaves the float range raises
     OverflowError naming the coordinates' magnitude, or InvalidParameter when
-    a coordinate is not finite.
+    a coordinate is not finite.  The kernel ``_points_rows`` reads each point
+    once and returns the rows, which the invariants read without this wrapper.
     """
-    infer_dimension(points)  # one dimension, and not every point at infinity
+    c = resolve(cfg)
+    rows = _points_rows(points, c)
+    G = object.__new__(GramMatrix)  # checked by _points_rows: GramMatrix's __init__ does not run
+    _set_gram(G, len(rows), rows, c)
+    return G
+
+
+def _points_rows(points, c: NumericConfig) -> tuple:
+    """``gram_of_points``'s checked rows.  Errors, in order: DimensionMismatch, all points
+    at infinity, the count, then each pair in turn."""
+    reads = []
+    width = None
+    for p in points:
+        if p.at_infinity:
+            reads.append(None)
+            continue
+        flat = []
+        for v in p.z:
+            flat += v.real, v.imag
+        if width is None:
+            width = len(flat)
+        elif width != len(flat):
+            raise DimensionMismatch("points live in different dimensions")
+        reads.append((flat, p.t, math.hypot(*flat)))
+    if width is None:
+        raise CoincidentPoints("all points are at infinity")
     m = len(points)
     _check_count(m)
-    c = resolve(cfg)
     a, r = c.abs_tol, c.rel_tol
-    norms = [math.hypot(*[x for v in p.z for x in (v.real, v.imag)]) for p in points]
     rows = [[0j] * m for _ in range(m)]
     for i in range(m - 1):
-        p = points[i]
+        u = reads[i]
         for j in range(i + 1, m):
-            q = points[j]
-            if p.at_infinity or q.at_infinity:
-                if p.at_infinity and q.at_infinity:
+            v = reads[j]
+            if u is None or v is None:
+                if u is v:
                     raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
                 g = 1 + 0j
             else:
+                pz, pt, _ = u
+                qz, qt, norm = v
                 dz2 = im = 0.0
-                for u, v in zip(p.z, q.z):
-                    d = u - v
-                    dz2 += d.real * d.real + d.imag * d.imag
-                    im += d.imag * v.real - d.real * v.imag
-                dt = p.t - q.t
+                for k in range(0, width, 2):  # the real and imaginary parts of one coordinate
+                    qr, qi = qz[k], qz[k + 1]
+                    dr, di = pz[k] - qr, pz[k + 1] - qi
+                    dz2 += dr * dr + di * di
+                    im += di * qr - dr * qi
+                dt = pt - qt
                 g = complex(0.0 - dz2, dt + 2.0 * im)  # 0.0 - 0.0 is +0.0, as <P_i, P_j> gives
                 try:
                     size = abs(g)
                 except OverflowError:  # |g| of finite parts beyond the float range
                     size = math.inf
-                bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norms[j]
+                bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norm
                 if not size < math.inf > bound:  # also when either is NaN
-                    raise _out_of_range(p, q, i, j)
+                    raise _out_of_range(points[i], points[j], i, j)
                 if size <= bound:
                     raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             rows[i][j] = g
             rows[j][i] = g.conjugate()
-    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __init__ does not run
-    _set_gram(G, m, tuple(map(tuple, rows)), c)
-    return G
+    return tuple(map(tuple, rows))
 
 
 def _out_of_range(p, q, i: int, j: int) -> Exception:

@@ -21,7 +21,7 @@ with inverse g13 = -e^{-iA}, g14 = 1/conj(X2),
 g24 = -(conj(X1)/conj(X2)) e^{iA}.  Only the squares of g13 and g24
 are determined by (X1, X2, X3) alone, which is why the angle A is part
 of the moduli data.  Every value here is read off one Gram matrix
-(``gram.gram_of`` of lifts, ``gram.gram_of_points`` of points), and
+(``gram.gram_of`` of lifts, the rows of ``gram.gram_of_points`` of points), and
 each formula (cross-ratio, Cartan, F, face determinants) has one
 definition.
 """
@@ -33,9 +33,9 @@ import math
 import sys
 
 from .errors import CartanOutOfRange, InvalidParameter, ZeroCrossRatio
-from .gram import FACES, NormalizedGram, _balanced, _face_det, _triple, gram_of, gram_of_points
+from .gram import FACES, NormalizedGram, _balanced, _face_det, _points_rows, _triple, gram_of
 from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
-from .numeric import Frozen, NumericConfig, _setattr, resolve
+from .numeric import Frozen, NumericConfig, _overflow, _setattr, resolve
 
 HALF_PI = math.pi / 2.0
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
@@ -85,8 +85,10 @@ def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
 
 def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
     """Rows of the Gram matrix of an ordered quadruple's standard lifts."""
-    p1, p2, p3, p4 = points  # rejects any other number of points
-    return gram_of_points((p1, p2, p3, p4), cfg).rows
+    points = tuple(points)
+    if len(points) != 4:
+        raise InvalidParameter(f"expected 4 points, got {len(points)}")
+    return _points_rows(points, resolve(cfg))
 
 
 def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVector,
@@ -96,7 +98,7 @@ def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVec
 
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
     """Cartan angular invariant of an ordered triple of boundary points."""
-    return _cartan(gram_of_points((p1, p2, p3), cfg).rows, 0, 1, 2, cfg)
+    return _cartan(_points_rows((p1, p2, p3), resolve(cfg)), 0, 1, 2, cfg)
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
@@ -105,7 +107,7 @@ def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     """Koranyi-Reimann complex cross-ratio of an ordered quadruple."""
-    return _cross_ratio(gram_of_points((p1, p2, p3, p4), cfg).rows, 0, 1, 2, 3)
+    return _cross_ratio(_points_rows((p1, p2, p3, p4), resolve(cfg)), 0, 1, 2, 3)
 
 
 class ModuliPoint(Frozen):
@@ -127,7 +129,11 @@ class ModuliPoint(Frozen):
         _setattr(self, "cartan", cartan)
         _setattr(self, "cfg", cfg)
         c = resolve(cfg)
-        if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:
+        try:
+            zero = abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol
+        except OverflowError:  # a modulus of finite parts beyond the float range
+            raise _overflow(("X1", x1), ("X2", x2)) from None
+        if zero:
             raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
 
     def isclose(self, other: "ModuliPoint", cfg: NumericConfig | None = None) -> bool:
@@ -165,8 +171,11 @@ class CrossRatioTriple(Frozen):
 
     def isclose(self, other: "CrossRatioTriple", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
-        scale = max([1.0] + [abs(v) for v in
-                             (self.x1, self.x2, self.x3, other.x1, other.x2, other.x3)])
+        values = (self.x1, self.x2, self.x3, other.x1, other.x2, other.x3)
+        try:
+            scale = max([1.0] + [abs(v) for v in values])
+        except OverflowError:  # a modulus of finite parts beyond the float range
+            raise _overflow(*zip(("X1", "X2", "X3") * 2, values)) from None
         return (abs(self.x1 - other.x1) <= c.tol(scale)
                 and abs(self.x2 - other.x2) <= c.tol(scale)
                 and abs(self.x3 - other.x3) <= c.tol(scale))
@@ -189,7 +198,11 @@ def cross_ratio_triple(points, cfg: NumericConfig | None = None) -> CrossRatioTr
     X3 is computed from Hermitian products directly, never through the
     identity X3 = (X2/X1) e^{2iA}, so that identity stays testable.
     """
-    g = _quadruple_gram(points, cfg)
+    return _cross_ratios(_quadruple_gram(points, cfg))
+
+
+def _cross_ratios(g) -> CrossRatioTriple:
+    """(X1, X2, X3) read off the rows of any Gram matrix of the quadruple."""
     return CrossRatioTriple(_cross_ratio(g, 0, 1, 2, 3), _cross_ratio(g, 0, 2, 1, 3),
                             _cross_ratio(g, 1, 2, 0, 3))
 

@@ -82,3 +82,14 @@ def resolve(cfg: NumericConfig | None) -> NumericConfig:
 def small(x: complex, scale: float = 1.0, cfg: NumericConfig | None = None) -> bool:
     """Is |x| negligible against the given scale?"""
     return abs(x) <= resolve(cfg).tol(scale)
+
+
+def _overflow(*fields) -> OverflowError:
+    """OverflowError naming the first (name, value) field whose modulus, of finite parts,
+    leaves the float range; a handler of abs()'s error passes every field it took."""
+    for name, v in fields:
+        try:
+            abs(v)
+        except OverflowError:
+            big = max(abs(v.real), abs(v.imag))
+            return OverflowError(f"|{name}| overflows for parts of magnitude {big}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import CertificateFailure, InvalidParameter
-from .gram import congruent_antiholomorphic, congruent_holomorphic, gram_of_points
+from .gram import _points_rows, congruent_antiholomorphic, congruent_holomorphic
 from .hermitian import BoundaryPoint
 from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
 from .moduli import moduli_coordinates
@@ -57,7 +57,7 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
 
 
 def _product_table(points, cfg: NumericConfig) -> dict:
-    g = gram_of_points(points, cfg).rows
+    g = _points_rows(points, cfg)
     return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
             for i in range(4) for j in range(i + 1, 4)}
 

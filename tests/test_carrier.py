@@ -136,11 +136,16 @@ def numpy_calls(fn) -> int:
                or "setflags" in name)
 
 
-def checks(cls, fn) -> int:
-    """Runs of cls's own checks (its __init__) while fn runs."""
-    code = cls.__init__.__code__
+def runs(func, fn) -> int:
+    """Calls of the Python function func while fn runs."""
+    code = func.__code__
     return sum(calls for (filename, line, _), calls in profiled_calls(fn).items()
                if (filename, line) == (code.co_filename, code.co_firstlineno))
+
+
+def checks(cls, fn) -> int:
+    """Runs of cls's own checks (its __init__) while fn runs."""
+    return runs(cls.__init__, fn)
 
 
 def invariants_op():
@@ -181,6 +186,15 @@ def test_points_reach_the_gram_kernel_without_lift_objects():
 def test_an_invariants_op_runs_no_gram_matrix_checks():
     # gram_of decides coincidence once, per pair; GramMatrix does not decide again
     assert checks(GramMatrix, invariants_op) == 0
+
+
+def test_each_op_runs_the_closed_form_kernel_and_builds_no_gram_matrix():
+    # the invariants op reads its moduli and its triple off one kernel run each; the
+    # roundtrip op's three congruences take two each; the rows are never wrapped
+    from chquad.gram import _points_rows, _set_gram
+
+    assert (runs(_points_rows, invariants_op), runs(_set_gram, invariants_op)) == (2, 0)
+    assert (runs(_points_rows, roundtrip_op()), runs(_set_gram, roundtrip_op())) == (6, 0)
 
 
 def test_a_directly_built_gram_matrix_runs_its_checks():

@@ -253,6 +253,27 @@ def test_overflow_exits_two(tmp_path, capsys):
     assert strict_json(out)["error"] == "malformed-input"
 
 
+def test_invariants_reads_one_gram_matrix_per_input(tmp_path, capsys, monkeypatch):
+    import chquad.invariants
+
+    kernel, runs = chquad.invariants._points_rows, []
+    monkeypatch.setattr(chquad.invariants, "_points_rows",
+                        lambda *args: runs.append(args) or kernel(*args))
+    quad = _quadruple_json(2, counterexample_pair(2.0)[0])
+    code, out = run(capsys, "invariants", "--input", write(tmp_path, "q.json", quad))
+    assert code == 0 and json.loads(out)["moduli"]["x1"] == [0.5, 0.0]
+    assert len(runs) == 1
+
+
+def test_overflowing_moduli_modulus_exits_two_naming_the_field(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"n": 2, "moduli": {"x1": [1.5e308, 1.5e308],
+                                                         "x2": [0.5, 0], "a": 0.1}})
+    code, out = run(capsys, "check-moduli", "--input", path)
+    assert code == 2
+    assert strict_json(out) == {"error": "malformed-input",
+                                "detail": "|X1| overflows for parts of magnitude 1.5e+308"}
+
+
 def test_overflowing_lift_exits_two_naming_the_magnitude(tmp_path, capsys):
     points = [{"type": "finite", "z": [[1e200, 0]], "t": 0}, {"type": "infinity"},
               {"type": "finite", "z": [[0, 0]], "t": 0}, {"type": "finite", "z": [[1, 0]], "t": 0}]

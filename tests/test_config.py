@@ -17,6 +17,7 @@ from chquad import (
     FACES,
     BoundaryPoint,
     CoincidentPoints,
+    CrossRatioTriple,
     DegenerateEntry,
     GramMatrix,
     InvalidFace,
@@ -25,6 +26,7 @@ from chquad import (
     ModuliPoint,
     NormalizedGram,
     NotIsometry,
+    NotNormalForm,
     NumericConfig,
     ZeroCrossRatio,
     certify_noninjectivity,
@@ -194,6 +196,40 @@ def test_moduli_point_rejects_non_finite_fields(fields):
 def test_normal_form_rejects_non_finite_fields(fields):
     with pytest.raises(InvalidParameter, match="normal form entries must be finite"):
         NormalizedGram(*fields)
+
+
+BIG = complex(1.5e308, 1.5e308)  # finite parts, a modulus beyond the float range
+
+
+@pytest.mark.parametrize("build,field", [
+    pytest.param(lambda: ModuliPoint(BIG, 0.5, 0.1), "X1", id="moduli-x1"),
+    pytest.param(lambda: ModuliPoint(0.5, BIG, 0.1), "X2", id="moduli-x2"),
+    pytest.param(lambda: NormalizedGram(BIG, 1, 1), "g13", id="normal-g13"),
+    pytest.param(lambda: NormalizedGram(-1, BIG, 1), "g14", id="normal-g14"),
+    pytest.param(lambda: NormalizedGram(-1, 1, BIG), "g24", id="normal-g24"),
+    pytest.param(lambda: GramMatrix(3, [[0, 1, BIG], [1, 0, 1], [BIG.conjugate(), 1, 0]]),
+                 "g13", id="gram-g13"),
+    pytest.param(lambda: GramMatrix(3, [[0, 1, 1], [1, 0, 1], [1, BIG, 0]]), "g32",
+                 id="gram-g32"),
+    pytest.param(lambda: CrossRatioTriple(BIG, 1, 1).isclose(CrossRatioTriple(1, 1, 1)), "X1",
+                 id="triple-isclose-self"),
+    pytest.param(lambda: CrossRatioTriple(1, 1, 1).isclose(CrossRatioTriple(1, 1, BIG)), "X3",
+                 id="triple-isclose-other"),
+])
+def test_value_overflow_names_the_field_and_magnitude(build, field):
+    with pytest.raises(OverflowError, match=rf"^\|{field}\| overflows for parts of magnitude "
+                                            r"1\.5e\+308$"):
+        build()
+
+
+def test_value_overflow_keeps_the_check_order():
+    # an earlier check that fails without reading the overflowing field still decides
+    with pytest.raises(ZeroCrossRatio):
+        ModuliPoint(1e-12, BIG, 0.1)
+    with pytest.raises(NotNormalForm):
+        NormalizedGram(2, BIG, 1)
+    with pytest.raises(DegenerateEntry):
+        NormalizedGram(-1, 0, BIG)
 
 
 def test_rows_hold_the_matrix_entries():

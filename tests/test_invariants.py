@@ -19,6 +19,8 @@ from chquad import (
     ZeroCrossRatio,
     cartan,
     cartan_from_lifts,
+    congruent_antiholomorphic,
+    congruent_holomorphic,
     counterexample_pair,
     cross_ratio,
     cross_ratio_from_lifts,
@@ -126,22 +128,46 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("invariant,points", [
-    pytest.param(moduli_coordinates, 4, id="moduli_coordinates"),
-    pytest.param(cross_ratio_triple, 4, id="cross_ratio_triple"),
-    pytest.param(normalized_gram_of_points, 4, id="normalized_gram_of_points"),
-    pytest.param(lambda p: cartan(*p), 3, id="cartan"),
-    pytest.param(lambda p: cross_ratio(*p), 4, id="cross_ratio"),
+@pytest.mark.parametrize("invariant,runs,objects", [
+    pytest.param(moduli_coordinates, 1, 0, id="moduli_coordinates"),
+    pytest.param(cross_ratio_triple, 1, 0, id="cross_ratio_triple"),
+    pytest.param(normalized_gram_of_points, 1, 1, id="normalized_gram_of_points"),
+    pytest.param(lambda p: cartan(*p[:3]), 1, 0, id="cartan"),
+    pytest.param(lambda p: cross_ratio(*p), 1, 0, id="cross_ratio"),
+    pytest.param(lambda p: congruent_holomorphic(p, p), 2, 0, id="congruent_holomorphic"),
 ])
-def test_one_gram_per_quadruple(monkeypatch, invariant, points):
-    # one Gram matrix, in closed form: no lift, neither as a list nor as an object
+def test_one_gram_per_quadruple(monkeypatch, invariant, runs, objects):
+    # one closed-form kernel run per quadruple, which reads the points itself: no lift,
+    # neither as a list nor as an object, no separate dimension pass, and a GramMatrix
+    # only where the caller asks for one
     p, _ = counterexample_pair(2.0)
     lifts = count_calls(monkeypatch, chquad.hermitian, "_lift")
     lift_objects = count_calls(monkeypatch, chquad.hermitian, "standard_lift")
-    builds = count_calls(monkeypatch, chquad.gram, "gram_of_points")
-    kernels = count_calls(monkeypatch, chquad.gram, "_gram")
-    invariant(p[:points])
-    assert (len(lifts), len(lift_objects), len(builds), len(kernels)) == (0, 0, 1, 0)
+    dimensions = count_calls(monkeypatch, chquad.hermitian, "infer_dimension")
+    kernels = count_calls(monkeypatch, chquad.gram, "_points_rows")
+    lift_kernels = count_calls(monkeypatch, chquad.gram, "_gram")
+    gram_objects = count_calls(monkeypatch, chquad.gram, "_set_gram")
+    invariant(p)
+    assert (len(lifts), len(lift_objects), len(dimensions)) == (0, 0, 0)
+    assert (len(kernels), len(lift_kernels), len(gram_objects)) == (runs, 0, objects)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+@pytest.mark.parametrize("invariant", [
+    moduli_coordinates,
+    cross_ratio_triple,
+    lambda p: congruent_holomorphic(p, counterexample_pair(2.0)[0]),
+    lambda p: congruent_holomorphic(counterexample_pair(2.0)[0], p),
+    lambda p: congruent_antiholomorphic(p, counterexample_pair(2.0)[1]),
+    lambda p: congruent_antiholomorphic(counterexample_pair(2.0)[0], p),
+], ids=["moduli_coordinates", "cross_ratio_triple", "congruent_holomorphic_first",
+        "congruent_holomorphic_second", "congruent_antiholomorphic_first",
+        "congruent_antiholomorphic_second"])
+def test_a_quadruple_of_another_size_is_an_invalid_parameter(invariant, count):
+    p, _ = counterexample_pair(2.0)
+    points = (p + (BoundaryPoint.finite([1.0], 2.5),))[:count]
+    with pytest.raises(InvalidParameter, match=f"^expected 4 points, got {count}$"):
+        invariant(points)
 
 
 def test_isometry_invariance():
