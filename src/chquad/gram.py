@@ -10,17 +10,18 @@ Two quadruples are congruent under a holomorphic isometry precisely
 when their moduli points coincide, and under an anti-holomorphic one
 precisely when one is (conj X1, conj X2, -A) of the other.
 
-Gram matrices come from two places.  ``gram_of`` takes the products of
-any null lifts (``HermitianVector``s) in one kernel that checks each
-lift's nullity and holds each pair to tol(s_i s_j), s_i the scale of
-lift i.  ``gram_of_points`` builds no lift: for standard lifts each entry
-has a closed form in the points' horospherical coordinates, and each
-pair is held to a bound by that entry's own terms, which Heisenberg
-translations and rotations leave unchanged and dilations scale with the
-entry.  Its kernel, ``_points_rows``, reads each point once (z as plain
-floats, t, |z|, and the common dimension), runs each pair on those
-floats and returns bare rows: the invariants, the Cartan angle and the
-congruence tests read those rows and build no ``GramMatrix``.
+Gram matrices come from two kernels, each returning checked rows.
+``_gram`` takes the products of any null lifts (``HermitianVector``s),
+checks each lift's nullity and holds each pair to tol(s_i s_j), s_i the
+scale of lift i.  ``_points_rows`` builds no lift: for standard lifts
+each entry has a closed form in the points' horospherical coordinates,
+and each pair is held to a bound by that entry's own terms, which
+Heisenberg translations and rotations leave unchanged and dilations
+scale with the entry.  The invariants, the Cartan angle and congruence
+read the bare rows; ``gram_of`` and ``gram_of_points`` wrap them in a
+``GramMatrix`` without deciding coincidence again.  Rows at any scale
+of the lifts are read as they are: ``invariants`` keeps each product it
+takes in range.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .hermitian import (_complex_values, _form, _is_null, _json_complex, _json_field,
                         _json_list, _numpy_shape, _read_only)
-from .numeric import Frozen, NumericConfig, _overflow, _setattr, resolve
+from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,8 +77,8 @@ class GramMatrix(Frozen, compare=False):
             raise _overflow(*((f"g{i + 1}{j + 1}", rows[i][j])
                               for i in range(m) for j in range(m))) from None
         tol = resolve(cfg).tol(scale)
-        if any(abs(rows[i][j] - rows[j][i].conjugate()) > tol
-               for i in range(m) for j in range(i, m)):
+        if not _close(tol, *(rows[i][j] - rows[j][i].conjugate()
+                             for i in range(m) for j in range(i, m))):
             raise InvalidParameter("Gram matrix must be Hermitian")
         if any(abs(rows[i][i]) > tol for i in range(m)):
             raise NotNull("Gram diagonal must vanish (lifts must be isotropic)")
@@ -153,9 +154,8 @@ class NormalizedGram(Frozen):
     def isclose(self, other: "NormalizedGram", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
         scale = max(1.0, abs(self.g14), abs(other.g14), abs(self.g24), abs(other.g24))
-        return (abs(self.g13 - other.g13) <= c.tol(scale)
-                and abs(self.g14 - other.g14) <= c.tol(scale)
-                and abs(self.g24 - other.g24) <= c.tol(scale))
+        return _close(c.tol(scale), self.g13 - other.g13, self.g14 - other.g14,
+                      self.g24 - other.g24)
 
     def to_json(self) -> dict:
         return {"g13": [self.g13.real, self.g13.imag],
@@ -176,10 +176,8 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     Points i and j coincide when |<P_i, P_j>| <= tol(s_i s_j), s_i the largest
     coordinate magnitude of lift i: the package's one rule for distinct points.
     """
-    _check_count(len(lifts))
-    if any(P.n != lifts[0].n for P in lifts):
-        raise DimensionMismatch("lifts live in different dimensions")
-    return _gram([P.values for P in lifts], [P.scale() for P in lifts], resolve(cfg))
+    c = resolve(cfg)
+    return _wrap(_gram(lifts, c), c)
 
 
 def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
@@ -196,8 +194,13 @@ def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
     once and returns the rows, which the invariants read without this wrapper.
     """
     c = resolve(cfg)
-    rows = _points_rows(points, c)
-    G = object.__new__(GramMatrix)  # checked by _points_rows: GramMatrix's __init__ does not run
+    return _wrap(_points_rows(points, c), c)
+
+
+def _wrap(rows: tuple, c: NumericConfig) -> GramMatrix:
+    """A GramMatrix of rows that a kernel has checked: GramMatrix's __init__, which would
+    decide coincidence again, does not run."""
+    G = object.__new__(GramMatrix)
     _set_gram(G, len(rows), rows, c)
     return G
 
@@ -272,16 +275,21 @@ def _check_count(m: int):
         raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
 
 
-def _gram(coords, scales, c: NumericConfig) -> GramMatrix:
-    """The Gram kernel: checked products of lifts' coordinate lists, given their scales.
+def _gram(lifts, c: NumericConfig) -> tuple:
+    """``gram_of``'s checked rows: the Gram kernel of lifts.
 
-    Checks, in order, each lift's nullity at its scale, each pair by
+    Checks, in order, the count, that the lifts share a dimension, each
+    lift's scale, each lift's nullity at its scale, each pair by
     ``gram_of``'s rule, and last that every product is finite.
     """
+    _check_count(len(lifts))
+    if any(P.n != lifts[0].n for P in lifts):
+        raise DimensionMismatch("lifts live in different dimensions")
+    coords, scales = [P.values for P in lifts], [P.scale() for P in lifts]
     for z, s in zip(coords, scales):
         if not _is_null(z, s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
-    m = len(coords)
+    m = len(lifts)
     rows = [[0j] * m for _ in range(m)]
     mags = []
     for i in range(m):
@@ -299,30 +307,19 @@ def _gram(coords, scales, c: NumericConfig) -> GramMatrix:
             rows[j][i] = g.conjugate()
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
-    G = object.__new__(GramMatrix)  # checked above: GramMatrix's __init__ does not run
-    _set_gram(G, m, tuple(map(tuple, rows)), c)
-    return G
-
-
-def _balanced(rows) -> tuple:
-    """Gram rows times 2^-e, e the midpoint of the binary exponents of min and max |g_ij|, i < j.
-
-    Exact, and it keeps a cross-ratio's products in the float range at any scale of the lifts.
-    """
-    m = len(rows)
-    exps = [math.frexp(abs(rows[i][j]))[1] for i in range(m) for j in range(i + 1, m)]
-    e = -((min(exps) + max(exps)) // 2)
-    return tuple(tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in row)
-                 for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:
-    """Unique normal form of G's equivalence class: the dictionary image of its moduli point."""
+    """Unique normal form of G's equivalence class: the dictionary image of its moduli point.
+
+    The moduli point is read off G's rows as they are, at any scale of the lifts.
+    """
     from .invariants import _moduli, gram_from_moduli
 
     if G.m != 4:
         raise InvalidParameter("normalization is defined for quadruples (m=4)")
-    return gram_from_moduli(_moduli(_balanced(G.rows), resolve(cfg)))
+    return gram_from_moduli(_moduli(G.rows, resolve(cfg)))
 
 
 def normalized_gram_of_points(points, cfg: NumericConfig | None = None) -> NormalizedGram:
@@ -339,15 +336,10 @@ def det_gram(G: NormalizedGram) -> float:
             + abs(g14) ** 2 + abs(g24) ** 2 + 1.0)
 
 
-def _triple(g, i, j, k) -> complex:
-    """g_ij g_jk g_ki, read off Gram rows g (0-based): the face's Hermitian triple product."""
-    return g[i][j] * g[j][k] * g[k][i]
-
-
 def _face_det(g, face) -> float:
-    """Determinant of the principal minor of Gram rows g on a 1-based face: 2 Re of its triple."""
+    """Determinant of the principal minor of Gram rows g on a 1-based face: 2 Re g_ij g_jk g_ki."""
     i, j, k = face
-    return 2.0 * _triple(g, i - 1, j - 1, k - 1).real
+    return 2.0 * (g[i - 1][j - 1] * g[j - 1][k - 1] * g[k - 1][i - 1]).real
 
 
 def det_face(G: NormalizedGram, face) -> float:

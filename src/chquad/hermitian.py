@@ -33,7 +33,7 @@ from .errors import (
     NotNull,
     ZeroVector,
 )
-from .numeric import Frozen, NumericConfig, _setattr, resolve
+from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,14 +115,17 @@ class HermitianVector(Frozen, compare=False):
         if self.n != other.n:
             return False
         c = resolve(cfg)
-        mags = [abs(v) for v in self.values]
+        try:
+            mags = [abs(v) for v in self.values]
+        except OverflowError:  # |z_k| of finite parts beyond the float range
+            raise _overflow(*((f"z{k + 1}", v) for k, v in enumerate(self.values))) from None
         i = mags.index(max(mags))
         if mags[i] == 0.0:
             return other.scale() <= c.abs_tol
         zi, wi = self.values[i], other.values[i]
         if not abs(wi) > c.tol(other.scale()):  # also when other's scale is NaN
             return False
-        return all(abs(z / zi - w / wi) <= c.tol(1.0) for z, w in zip(self.values, other.values))
+        return _close(c.tol(1.0), *(z / zi - w / wi for z, w in zip(self.values, other.values)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "coords": [[z.real, z.imag] for z in self.values]}
@@ -286,11 +289,13 @@ class BoundaryPoint(Frozen):
             return self.at_infinity and other.at_infinity
         if len(self.z) != len(other.z):
             return False
-        scale = max([1.0, abs(self.t), abs(other.t)]
-                    + [abs(v) for v in self.z] + [abs(v) for v in other.z])
-        if abs(self.t - other.t) > c.tol(scale):
-            return False
-        return all(abs(a - b) <= c.tol(scale) for a, b in zip(self.z, other.z))
+        try:
+            scale = max([1.0, abs(self.t), abs(other.t)]
+                        + [abs(v) for v in self.z] + [abs(v) for v in other.z])
+        except OverflowError:  # |z_k| of finite parts beyond the float range
+            raise _overflow(*((f"z{k + 1}", v) for z in (self.z, other.z)
+                              for k, v in enumerate(z))) from None
+        return _close(c.tol(scale), self.t - other.t, *(a - b for a, b in zip(self.z, other.z)))
 
     def to_json(self) -> dict:
         if self.at_infinity:

@@ -21,66 +21,85 @@ with inverse g13 = -e^{-iA}, g14 = 1/conj(X2),
 g24 = -(conj(X1)/conj(X2)) e^{iA}.  Only the squares of g13 and g24
 are determined by (X1, X2, X3) alone, which is why the angle A is part
 of the moduli data.  Every value here is read off one Gram matrix
-(``gram.gram_of`` of lifts, the rows of ``gram.gram_of_points`` of points), and
-each formula (cross-ratio, Cartan, F, face determinants) has one
-definition.
+(the rows of ``gram._gram`` of lifts or of ``gram._points_rows`` of
+points), and each formula (cross-ratio, Cartan, F, face determinants)
+has one definition.  A product is taken as it reads while its modulus
+lies in [2^-500, 2^500], and otherwise on its factors scaled exactly by
+powers of two, so rows at any scale give full-precision values.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from .errors import CartanOutOfRange, InvalidParameter, ZeroCrossRatio
-from .gram import FACES, NormalizedGram, _balanced, _face_det, _points_rows, _triple, gram_of
+from .gram import FACES, NormalizedGram, _face_det, _gram, _points_rows
 from .hermitian import HermitianVector, _json_complex, _json_field, _json_number
-from .numeric import Frozen, NumericConfig, _overflow, _setattr, resolve
+from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
 HALF_PI = math.pi / 2.0
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_LO, _HI = 2.0 ** -500, 2.0 ** 500  # the products' window: see _cross_ratio
 
 
-def _clamp_cartan(angle: float, cfg: NumericConfig) -> float:
-    """Snap values a rounding error past +-pi/2 back onto the interval."""
-    if abs(angle) <= HALF_PI:
-        return angle
-    if abs(angle) <= HALF_PI + cfg.tol(1.0):
-        return math.copysign(HALF_PI, angle)
-    raise CartanOutOfRange(f"angle {angle} lies outside [-pi/2, pi/2]")
+def _mantissa(v: complex) -> tuple:
+    """(v 2^-e, e), e the binary exponent of v's larger part, which lands in [1/2, 1).
+
+    Exact unless the smaller part is below about 2^-1021 times the larger one:
+    then it rounds in the subnormal range.
+    """
+    e = math.frexp(max(abs(v.real), abs(v.imag)))[1]
+    return complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, rounded once; +-inf beyond the float range, as a product overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _cross_ratio(g, i, j, k, l) -> complex:
     """X(p_i, p_j, p_k, p_l) = g_ki g_lj / (g_li g_kj), read off Gram rows g (0-based).
 
-    A product beyond the normal float range (subnormal, 0, inf or NaN) is
-    taken again on the balanced rows, whose products stay in it.
+    Taken as it reads while both products lie in the window [2^-500, 2^500],
+    where the division's intermediates and its quotient stay normal; otherwise
+    on the factors scaled exactly by their own powers of two, and scaled back.
     """
     num, den = g[k][i] * g[l][j], g[l][i] * g[k][j]
     try:
-        if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
+        if _LO <= abs(num) <= _HI and _LO <= abs(den) <= _HI:
             return num / den
     except OverflowError:  # |num| or |den| of finite parts beyond the float range
         pass
-    g = _balanced(g)
-    return g[k][i] * g[l][j] / (g[l][i] * g[k][j])
+    (a, ea), (b, eb), (c, ec), (d, ed) = map(_mantissa, (g[k][i], g[l][j], g[l][i], g[k][j]))
+    x, e = a * b / (c * d), ea + eb - ec - ed
+    return complex(_ldexp(x.real, e), _ldexp(x.imag, e))
 
 
 def _cartan(g, i, j, k, cfg: NumericConfig | None) -> float:
     """A(p_i, p_j, p_k) = arg(-g_ij g_jk g_ki), read off Gram rows g (0-based).
 
-    A product beyond the normal float range (subnormal, 0, inf or NaN) takes
-    its phase from the unit factors g/|g| instead, whose product stays in it.
+    Taken as it reads while g_ij g_jk and the triple product lie in the window
+    of ``_cross_ratio``; otherwise on the factors scaled exactly by their own
+    powers of two, which leaves the phase alone.  An angle a rounding error
+    past +-pi/2 is snapped back onto the interval.
     """
-    t = _triple(g, i, j, k)
+    pq = g[i][j] * g[j][k]
+    t = pq * g[k][i]
     try:
-        normal = _TINY <= abs(t) <= _HUGE
-    except OverflowError:  # |t| of finite parts beyond the float range
+        normal = _LO <= abs(pq) <= _HI and _LO <= abs(t) <= _HI
+    except OverflowError:  # a modulus of finite parts beyond the float range
         normal = False
     if not normal:
-        p, q, r = g[i][j], g[j][k], g[k][i]
-        t = p / abs(p) * (q / abs(q)) * (r / abs(r))
-    return _clamp_cartan(cmath.phase(-t), resolve(cfg))
+        t = _mantissa(g[i][j])[0] * _mantissa(g[j][k])[0] * _mantissa(g[k][i])[0]
+    angle = cmath.phase(-t)
+    if abs(angle) <= HALF_PI:
+        return angle
+    if abs(angle) <= HALF_PI + resolve(cfg).tol(1.0):
+        return math.copysign(HALF_PI, angle)
+    raise CartanOutOfRange(f"angle {angle} lies outside [-pi/2, pi/2]")
 
 
 def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
@@ -93,7 +112,7 @@ def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
 
 def cartan_from_lifts(P1: HermitianVector, P2: HermitianVector, P3: HermitianVector,
                       cfg: NumericConfig | None = None) -> float:
-    return _cartan(gram_of((P1, P2, P3), cfg).rows, 0, 1, 2, cfg)
+    return _cartan(_gram((P1, P2, P3), resolve(cfg)), 0, 1, 2, cfg)
 
 
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
@@ -102,7 +121,7 @@ def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
 
 
 def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    return _cross_ratio(gram_of((P1, P2, P3, P4), cfg).rows, 0, 1, 2, 3)
+    return _cross_ratio(_gram((P1, P2, P3, P4), resolve(cfg)), 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
@@ -139,8 +158,7 @@ class ModuliPoint(Frozen):
     def isclose(self, other: "ModuliPoint", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
         scale = max(1.0, abs(self.x1), abs(other.x1), abs(self.x2), abs(other.x2))
-        return (abs(self.x1 - other.x1) <= c.tol(scale)
-                and abs(self.x2 - other.x2) <= c.tol(scale)
+        return (_close(c.tol(scale), self.x1 - other.x1, self.x2 - other.x2)
                 and abs(self.cartan - other.cartan) <= c.tol(1.0))
 
     def to_json(self) -> dict:
@@ -176,9 +194,7 @@ class CrossRatioTriple(Frozen):
             scale = max([1.0] + [abs(v) for v in values])
         except OverflowError:  # a modulus of finite parts beyond the float range
             raise _overflow(*zip(("X1", "X2", "X3") * 2, values)) from None
-        return (abs(self.x1 - other.x1) <= c.tol(scale)
-                and abs(self.x2 - other.x2) <= c.tol(scale)
-                and abs(self.x3 - other.x3) <= c.tol(scale))
+        return _close(c.tol(scale), self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
 
     def to_json(self) -> dict:
         return {"x1": [self.x1.real, self.x1.imag],

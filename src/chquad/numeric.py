@@ -84,6 +84,18 @@ def small(x: complex, scale: float = 1.0, cfg: NumericConfig | None = None) -> b
     return abs(x) <= resolve(cfg).tol(scale)
 
 
+def _close(tol: float, *differences) -> bool:
+    """Is |a - b| <= tol for each difference a - b, in order?  One whose modulus leaves the
+    float range is not: it exceeds any finite tolerance.  A NaN is not either."""
+    try:
+        for d in differences:
+            if not abs(d) <= tol:
+                return False
+    except OverflowError:  # |a - b| of finite parts beyond the float range
+        return False
+    return True
+
+
 def _overflow(*fields) -> OverflowError:
     """OverflowError naming the first (name, value) field whose modulus, of finite parts,
     leaves the float range; a handler of abs()'s error passes every field it took."""

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
+MARGIN = 1e-3  # random_moduli_point keeps |A| below pi/2 - MARGIN
 
 
 def _rng(seed) -> np.random.Generator:
@@ -160,22 +161,19 @@ def random_isometry(n: int, rng) -> Isometry:
     raise DegenerateBasis("random basis kept collapsing; this should be unreachable")
 
 
-def random_moduli_point(rng, margin: float = 1e-3) -> ModuliPoint:
-    """A random point on the F = 0 locus with |A| < pi/2 - margin.
+def random_moduli_point(rng) -> ModuliPoint:
+    """A random point on the F = 0 locus with |A| < pi/2 - MARGIN.
 
     Draws X1, A and the phase of X2, then solves the real quadratic
     r^2 - 2 b r + |X1 - 1|^2 = 0 for r = |X2| and keeps a positive
     root; redraws whenever no positive root exists.
     """
-    low, high = -HALF_PI + margin, HALF_PI - margin
-    if not 0.0 <= high - low < math.inf:
-        raise InvalidParameter(f"margin must leave a finite range of A, got {margin}")
     gen = _rng(rng)
     for _ in range(1000):
         x1 = complex(*gen.standard_normal(2).tolist())
         if abs(x1) < 0.05:
             continue
-        a = _uniform(gen, low, high)
+        a = _uniform(gen, -HALF_PI + MARGIN, HALF_PI - MARGIN)
         phi = _uniform(gen, -math.pi, math.pi)
         b = math.cos(phi) + (x1 * cmath.exp(-1j * (phi + 2.0 * a))).real
         disc = b * b - abs(x1 - 1.0) ** 2
@@ -195,7 +193,7 @@ def random_chain_moduli(rng, sign: float = 1.0) -> ModuliPoint:
     """A random point of the chain locus: A = +-pi/2, X1 + X2 = 1 real."""
     gen = _rng(rng)
     for _ in range(1000):
-        x1 = float(gen.uniform(-3.0, 4.0))
+        x1 = _uniform(gen, -3.0, 4.0)
         if abs(x1) < 0.05 or abs(1.0 - x1) < 0.05:
             continue
         return ModuliPoint(x1, 1.0 - x1, math.copysign(HALF_PI, sign))

@@ -16,7 +16,7 @@ def exact_normal_form(rows) -> tuple:
     """(g13, g14, g24) of the dictionary image of a float Gram matrix's moduli, to 50 digits.
 
     X1, X2 and A are taken exactly from the rows, and A is clamped to
-    [-pi/2, pi/2] as ``invariants._clamp_cartan`` does.
+    [-pi/2, pi/2] as ``invariants._cartan`` does.
     """
     import mpmath
 

@@ -221,7 +221,7 @@ def test_criterion_8_classification_fixtures():
         ok &= abs(m.cartan) <= 1e-8
     detail.append("R-circle quadruples satisfy the real-conic predicate")
     for _ in range(500):
-        m = random_moduli_point(rng, margin=1e-3)
+        m = random_moduli_point(rng)
         ok &= positivity_check(m)
     detail.append("positivity holds on 500 on-variety samples")
     _report("criterion 8 (classification fixtures)", ok, "; ".join(detail))

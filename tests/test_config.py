@@ -20,6 +20,7 @@ from chquad import (
     CrossRatioTriple,
     DegenerateEntry,
     GramMatrix,
+    HermitianVector,
     InvalidFace,
     InvalidParameter,
     Isometry,
@@ -215,11 +216,45 @@ BIG = complex(1.5e308, 1.5e308)  # finite parts, a modulus beyond the float rang
                  id="triple-isclose-self"),
     pytest.param(lambda: CrossRatioTriple(1, 1, 1).isclose(CrossRatioTriple(1, 1, BIG)), "X3",
                  id="triple-isclose-other"),
+    pytest.param(lambda: BoundaryPoint.finite([0], 0).isclose(BoundaryPoint.finite([BIG], 0)),
+                 "z1", id="point-isclose"),
+    pytest.param(lambda: HermitianVector(1, [BIG, 1]).proportional_to(HermitianVector(1, [1, 1])),
+                 "z1", id="proportional-to"),
 ])
 def test_value_overflow_names_the_field_and_magnitude(build, field):
     with pytest.raises(OverflowError, match=rf"^\|{field}\| overflows for parts of magnitude "
                                             r"1\.5e\+308$"):
         build()
+
+
+HUGE = complex(0.8e308, 0.8e308)  # a finite modulus, but not that of HUGE - (-HUGE)
+
+
+def _hermitian(rows) -> bool:
+    try:
+        GramMatrix(3, rows)
+    except InvalidParameter as e:
+        assert str(e) == "Gram matrix must be Hermitian"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("verdict", [
+    pytest.param(lambda: ModuliPoint(HUGE, 1, 0).isclose(ModuliPoint(-HUGE, 1, 0)), id="moduli"),
+    pytest.param(lambda: NormalizedGram(-1, 1, HUGE).isclose(NormalizedGram(-1, 1, -HUGE)),
+                 id="normal-form"),
+    pytest.param(lambda: CrossRatioTriple(1, HUGE, 1).isclose(CrossRatioTriple(1, -HUGE, 1)),
+                 id="triple"),
+    pytest.param(lambda: BoundaryPoint.finite([HUGE], 0).isclose(BoundaryPoint.finite([-HUGE], 0)),
+                 id="point"),
+    pytest.param(lambda: _hermitian([[0, 0.9e308 + 0.9e308j, 1], [-0.5e308 + 0.5e308j, 0, 1],
+                                     [1, 1, 0]]), id="gram-hermitian"),
+    pytest.param(lambda: HermitianVector(1, [1, 0.5]).proportional_to(
+        HermitianVector(1, [1e-300, 1.5e8 + 1.5e8j]), NumericConfig(0, 0)), id="proportional-to"),
+])
+def test_a_difference_beyond_the_float_range_is_not_close(verdict):
+    # |a - b| overflows although a and b are finite: it exceeds any finite tolerance
+    assert verdict() is False
 
 
 def test_value_overflow_keeps_the_check_order():

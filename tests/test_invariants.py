@@ -224,7 +224,7 @@ def reference_cartan(points):
     ((0.5 - 1j, 0.3), (1 + 2j, -0.7), (3e150 - 1e150j, 2e300)),
 ])
 def test_cartan_of_an_overflowing_triple_product(points):
-    # every Gram entry is finite; the phase comes from the entries' unit factors
+    # every Gram entry is finite; the phase comes from the entries scaled by powers of two
     value = cartan(*[BoundaryPoint.finite([z], t) for z, t in points])
     assert abs(value - reference_cartan(points)) <= 1e-15
 
@@ -414,7 +414,7 @@ def dilated(points, lam):
 @pytest.mark.parametrize("lam", [1e80, 1e-80, 1e-85, 1e150, 1e-150])
 def test_cross_ratios_of_points_at_extreme_scales(lam):
     # Gram entries near lam^2: their products leave the float range (nan at 1e80, a division
-    # by zero at 1e-85, subnormal digits lost at 1e-80) unless taken on balanced rows
+    # by zero at 1e-85, subnormal digits lost at 1e-80) unless taken on scaled factors
     fine = NumericConfig(0.0, 1e-9)
     q = dilated(GENERIC3, lam)
     t0, m0 = cross_ratio_triple(GENERIC3, fine), moduli_coordinates(GENERIC3, fine)
@@ -432,3 +432,48 @@ def test_cartan_of_a_subnormal_triple_product():
          BoundaryPoint.finite([0j, 1.4375j], 0.0), BoundaryPoint.finite([0j, 0j], 0.0))
     want = cartan(*q[:3], fine)
     assert abs(cartan(*dilated(q, math.ldexp(1.0, -176))[:3], fine) - want) <= 4e-16
+
+
+@pytest.mark.parametrize("from_lifts,count", [(cartan_from_lifts, 3), (cross_ratio_from_lifts, 4)],
+                         ids=["cartan_from_lifts", "cross_ratio_from_lifts"])
+def test_lift_invariants_read_the_kernel_rows(monkeypatch, from_lifts, count):
+    # one run of the lift kernel, whose bare rows are read: no GramMatrix
+    lifts = [standard_lift(p, 2) for p in counterexample_pair(2.0)[0]][:count]
+    kernels = count_calls(monkeypatch, chquad.gram, "_gram")
+    gram_objects = count_calls(monkeypatch, chquad.gram, "_set_gram")
+    from_lifts(*lifts)
+    assert (len(kernels), len(gram_objects)) == (1, 0)
+
+
+def test_cartan_of_lifts_whose_partial_product_is_subnormal():
+    # g12 g23 is about 1e-320 while the triple product is normal: the partial product
+    # decides the fallback too
+    fine = NumericConfig(0.0, 1e-9)
+    points = (BoundaryPoint.finite([0.3 + 0.1j], 0.5), BoundaryPoint.finite([-0.5 + 0.2j], -0.2),
+              BoundaryPoint.finite([0.1 - 0.8j], 1.1))
+    lifts = [standard_lift(p, 2).scaled(s) for p, s in zip(points, (1e100, 1e-260, 1e100))]
+    assert abs(cartan_from_lifts(*lifts, fine) - cartan(*points, fine)) <= 4e-16
+
+
+def test_moduli_of_quadruples_dilated_to_the_edge_of_the_float_range():
+    # dilated by 2^k, finite-pair entries grow by 4^k: near k = 254 a product nears the float
+    # maximum, where Smith's division overflows inside num / den
+    fine = NumericConfig(0.0, 1e-9)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        q = random_quadruple(3, "generic", rng, fine)
+        m = moduli_coordinates(q, fine)
+        for k in range(240, 262):
+            assert moduli_coordinates(dilated(q, math.ldexp(1.0, k)), fine).isclose(m, fine)
+
+
+def test_a_cross_ratio_beyond_the_float_range_is_not_finite():
+    # X1 = g31 g42 / (g41 g32) = 1e308 / 1e-300: the value classes reject it as not finite,
+    # and no bare OverflowError escapes from scaling it back
+    fine = NumericConfig(0.0, 1e-9)
+    q = (BoundaryPoint.finite([0], 0), BoundaryPoint.infinity(), BoundaryPoint.finite([1e154], 0),
+         BoundaryPoint.finite([1e-150], 0))
+    with pytest.raises(InvalidParameter, match="^moduli coordinates must be finite$"):
+        moduli_coordinates(q, fine)
+    with pytest.raises(InvalidParameter, match="^cross-ratios must be finite$"):
+        cross_ratio_triple(q, fine)
