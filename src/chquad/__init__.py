@@ -14,23 +14,22 @@ _EXPORTS = {
         "CartanOutOfRange", "CertificateFailure", "CoincidentPoints", "DegenerateBasis",
         "DegenerateEntry", "DimensionMismatch", "GeometryError", "InconsistentGram",
         "InvalidFace", "InvalidParameter", "NotInModuliSpace", "NotIsometry", "NotNormalForm",
-        "NotNull", "PreconditionViolated", "ResamplingExhausted", "ZeroCrossRatio",
-        "ZeroVector",
+        "NotNull", "PreconditionViolated", "ResamplingExhausted", "UnderflowError",
+        "ZeroCrossRatio", "ZeroVector",
     ),
     "gram": (
-        "FACES", "GramMatrix", "NormalizedGram", "congruent_antiholomorphic",
-        "congruent_holomorphic", "det_face", "det_gram", "gram_of", "normalize",
-        "normalized_gram_of_points",
+        "GramMatrix", "gram_of", "gram_of_points", "normalize", "normalized_gram_of_points",
     ),
     "hermitian": (
-        "BoundaryPoint", "HermitianVector", "Isometry", "apply_isometry",
-        "apply_isometry_point", "form_matrix", "herm_product", "infer_dimension",
-        "point_from_lift", "signature_basis", "standard_lift",
+        "HermitianVector", "Isometry", "apply_isometry_point", "form_matrix", "point_from_lift",
+        "signature_basis", "standard_lift",
     ),
     "invariants": (
-        "CrossRatioTriple", "ModuliPoint", "cartan", "cartan_from_lifts", "cross_ratio",
-        "cross_ratio_from_lifts", "cross_ratio_triple", "det_from_moduli",
-        "face_dets_from_moduli", "gram_from_moduli", "moduli_from_gram",
+        "CrossRatioTriple", "FACES", "ModuliPoint", "NormalizedGram", "cartan",
+        "cartan_from_lifts", "congruent_antiholomorphic", "congruent_holomorphic",
+        "cross_ratio", "cross_ratio_from_lifts", "cross_ratio_triple", "det_face",
+        "det_from_moduli", "det_gram", "face_dets_from_moduli", "gram_from_moduli",
+        "moduli_from_gram",
     ),
     "moduli": (
         "ClassificationReport", "classify", "in_moduli_space", "moduli_coordinates",
@@ -38,6 +37,7 @@ _EXPORTS = {
         "residual_scale",
     ),
     "numeric": ("NumericConfig", "resolve", "small"),
+    "points": ("BoundaryPoint", "infer_dimension"),
     "sampling": (
         "random_boundary_point", "random_chain_moduli", "random_isometry",
         "random_moduli_point", "random_quadruple",

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` so the CLI can
-emit structured failures.
+Every ``GeometryError`` carries a short machine-readable ``code`` so the
+CLI can emit structured failures.
 """
 
 
@@ -79,3 +79,7 @@ class ResamplingExhausted(GeometryError):
 
 class DegenerateBasis(GeometryError):
     code = "degenerate-basis"
+
+
+class UnderflowError(ArithmeticError):
+    """A subnormal Gram entry of distinct points: like OverflowError, not a GeometryError."""

@@ -1,4 +1,4 @@
-"""The Hermitian space C^{n,1} and null lifts of boundary points.
+"""The Hermitian space C^{n,1}, null lifts of boundary points, and the isometries.
 
 Coordinates are chosen so that the signature-(n,1) Hermitian product is
 
@@ -7,12 +7,14 @@ Coordinates are chosen so that the signature-(n,1) Hermitian product is
 
 linear in the first slot, conjugate-linear in the second.  The boundary
 of complex hyperbolic n-space consists of the isotropic complex lines
-of this form.  A finite boundary point carries horospherical
-coordinates (z, t) with z in C^{n-1} and t real; one distinguished
-point sits at infinity.  Standard lifts:
+of this form.  Standard lifts of the boundary points of ``points``:
 
     (z, t)    ->  (-|z|^2 + i t,  z * sqrt(2),  1)
     infinity  ->  (1, 0, ..., 0)
+
+With ``gram``, this is the lift side, above the points side (``points``,
+``invariants``, ``moduli``), whose ``BoundaryPoint`` and
+``infer_dimension`` are names of this module too.
 
 All values are immutable; all operations are pure functions.  Lifts
 store Python complex numbers, so numpy is imported only by the
@@ -26,14 +28,9 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    CoincidentPoints,
-    DimensionMismatch,
-    NotIsometry,
-    NotNull,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, NotIsometry, NotNull, ZeroVector
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
+from .points import BoundaryPoint, _json_complex, _json_field, _json_list, infer_dimension
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,35 +135,6 @@ class HermitianVector(Frozen, compare=False):
         return cls(n, [_json_complex(v, f"{path}.coords[{k}]") for k, v in enumerate(coords)])
 
 
-def _json_field(obj, key: str, path: str):
-    """obj[key] of the JSON object found at path in the input."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    if key not in obj:
-        raise ValueError(f"{path}: missing key {key!r}")
-    return obj[key]
-
-
-def _json_list(value, path: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{path}: expected a list")
-    return value
-
-
-def _json_number(value, path: str) -> float:
-    """A JSON number as a float; strings, booleans and null are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: expected a number")
-    return float(value)
-
-
-def _json_complex(value, path: str) -> complex:
-    """A JSON [re, im] pair of numbers as a complex number."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{path}: expected [re, im]")
-    return complex(_json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]"))
-
-
 def _complex_row(values) -> tuple:
     if isinstance(values, str):  # numpy reads a string as one scalar, not as its characters
         raise TypeError("expected a sequence of numbers")
@@ -252,69 +220,6 @@ def _is_null(z, s: float, c: NumericConfig) -> bool:
     return form <= c.tol(s * s)
 
 
-def herm_product(Z: HermitianVector, W: HermitianVector) -> complex:
-    """<Z, W>; conjugate-symmetric and sesquilinear."""
-    if Z.n != W.n:
-        raise DimensionMismatch(f"products need equal n, got {Z.n} and {W.n}")
-    return _form(Z.values, W.values)
-
-
-class BoundaryPoint(Frozen):
-    """A boundary point: horospherical (z, t) or the point at infinity."""
-
-    _fields = ("at_infinity", "z", "t")
-
-    def __init__(self, at_infinity: bool, z: tuple = (), t: float = 0.0):
-        _setattr(self, "at_infinity", at_infinity)
-        _setattr(self, "z", z)
-        _setattr(self, "t", t)
-
-    @classmethod
-    def finite(cls, z, t) -> "BoundaryPoint":
-        return cls(False, tuple(complex(v) for v in z), float(t))
-
-    @classmethod
-    def infinity(cls) -> "BoundaryPoint":
-        return cls(True)
-
-    def mirror(self) -> "BoundaryPoint":
-        """Image under the standard anti-holomorphic involution (z, t) -> (conj z, -t)."""
-        if self.at_infinity:
-            return self
-        return BoundaryPoint(False, tuple(v.conjugate() for v in self.z), -self.t)
-
-    def isclose(self, other: "BoundaryPoint", cfg: NumericConfig | None = None) -> bool:
-        c = resolve(cfg)
-        if self.at_infinity or other.at_infinity:
-            return self.at_infinity and other.at_infinity
-        if len(self.z) != len(other.z):
-            return False
-        try:
-            scale = max([1.0, abs(self.t), abs(other.t)]
-                        + [abs(v) for v in self.z] + [abs(v) for v in other.z])
-        except OverflowError:  # |z_k| of finite parts beyond the float range
-            raise _overflow(*((f"z{k + 1}", v) for z in (self.z, other.z)
-                              for k, v in enumerate(z))) from None
-        return _close(c.tol(scale), self.t - other.t, *(a - b for a, b in zip(self.z, other.z)))
-
-    def to_json(self) -> dict:
-        if self.at_infinity:
-            return {"type": "infinity"}
-        return {"type": "finite", "z": [[v.real, v.imag] for v in self.z], "t": self.t}
-
-    @classmethod
-    def from_json(cls, obj: dict, path: str = "point") -> "BoundaryPoint":
-        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
-        kind = _json_field(obj, "type", path)
-        if kind == "infinity":
-            return cls.infinity()
-        if kind == "finite":
-            z = _json_list(_json_field(obj, "z", path), f"{path}.z")
-            return cls.finite([_json_complex(v, f"{path}.z[{k}]") for k, v in enumerate(z)],
-                              _json_number(_json_field(obj, "t", path), f"{path}.t"))
-        raise ValueError(f"{path}.type: unknown point type {kind!r}")
-
-
 def _lift(p: BoundaryPoint, n: int) -> list:
     """Coordinates of the standard lift of p, as a list of n + 1 Python complex numbers."""
     if n < 1:
@@ -393,34 +298,12 @@ class Isometry(Frozen, compare=False):
         return Isometry(self.n, self.matrix @ other.matrix, self.cfg)
 
 
-def apply_isometry(g: Isometry, Z: HermitianVector) -> HermitianVector:
-    if g.n != Z.n:
-        raise DimensionMismatch(f"isometry of n={g.n} cannot act on vector of n={Z.n}")
-    return HermitianVector(Z.n, g.matrix @ Z.coords)
-
-
 def apply_isometry_point(g: Isometry, p: BoundaryPoint,
                          cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Move a boundary point: lift, act, dehomogenize."""
     import numpy as np
 
     return _point((g.matrix @ np.array(_lift(p, g.n))).tolist(), cfg)
-
-
-def infer_dimension(points) -> int:
-    """Common ambient dimension of a tuple of boundary points."""
-    n = None
-    for p in points:
-        if p.at_infinity:
-            continue
-        k = len(p.z) + 1
-        if n is None:
-            n = k
-        elif n != k:
-            raise DimensionMismatch("points live in different dimensions")
-    if n is None:
-        raise CoincidentPoints("all points are at infinity")
-    return n
 
 
 def standard_lifts(points) -> list:

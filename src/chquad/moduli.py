@@ -25,10 +25,8 @@ import cmath
 import math
 
 from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
-from .gram import _face_det
-from .hermitian import HermitianVector
-from .invariants import (HALF_PI, ModuliPoint, _defining_function, _moduli, _quadruple_gram,
-                         face_dets_from_moduli, gram_from_moduli)
+from .invariants import (HALF_PI, ModuliPoint, _defining_function, _face_det, _moduli,
+                         _quadruple_gram, face_dets_from_moduli, gram_from_moduli)
 from .numeric import Frozen, NumericConfig, _setattr, resolve, small
 
 
@@ -99,6 +97,8 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     (Cauchy-Schwarz).  Any choice of solution lands in the same
     congruence class, so the canonical one below is as good as any.
     """
+    from .hermitian import HermitianVector  # the lift side, which only this function needs
+
     c = resolve(cfg)
     if n < 2:
         raise InvalidParameter(f"reconstruction is defined for n >= 2, got {n}")

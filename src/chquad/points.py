@@ -1,0 +1,211 @@
+"""Boundary points in horospherical coordinates, and the Gram kernel of points.
+
+A finite boundary point of complex hyperbolic n-space carries coordinates
+(z, t) with z in C^{n-1} and t real; one distinguished point sits at
+infinity.  The Gram matrix of the points' standard lifts (see
+``hermitian``) has a closed form in these coordinates, which
+``_points_rows`` evaluates without building a lift.
+
+This module, with the JSON readers every ``from_json`` shares, is the
+base of the points side: ``invariants``, ``moduli`` and ``varieties``
+import it and nothing of the lift side (``hermitian``, ``gram``) above.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from .errors import CoincidentPoints, DimensionMismatch, InvalidParameter, UnderflowError
+from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
+
+_TINY = sys.float_info.min  # the smallest normal float
+
+
+def _json_field(obj, key: str, path: str):
+    """obj[key] of the JSON object found at path in the input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return obj[key]
+
+
+def _json_list(value, path: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list")
+    return value
+
+
+def _json_number(value, path: str) -> float:
+    """A JSON number as a float; strings, booleans and null are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: expected a number")
+    return float(value)
+
+
+def _json_complex(value, path: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex number."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{path}: expected [re, im]")
+    return complex(_json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]"))
+
+
+class BoundaryPoint(Frozen):
+    """A boundary point: horospherical (z, t) or the point at infinity."""
+
+    _fields = ("at_infinity", "z", "t")
+
+    def __init__(self, at_infinity: bool, z: tuple = (), t: float = 0.0):
+        _setattr(self, "at_infinity", at_infinity)
+        _setattr(self, "z", z)
+        _setattr(self, "t", t)
+
+    @classmethod
+    def finite(cls, z, t) -> "BoundaryPoint":
+        return cls(False, tuple(complex(v) for v in z), float(t))
+
+    @classmethod
+    def infinity(cls) -> "BoundaryPoint":
+        return cls(True)
+
+    def mirror(self) -> "BoundaryPoint":
+        """Image under the standard anti-holomorphic involution (z, t) -> (conj z, -t)."""
+        if self.at_infinity:
+            return self
+        return BoundaryPoint(False, tuple(v.conjugate() for v in self.z), -self.t)
+
+    def isclose(self, other: "BoundaryPoint", cfg: NumericConfig | None = None) -> bool:
+        c = resolve(cfg)
+        if self.at_infinity or other.at_infinity:
+            return self.at_infinity and other.at_infinity
+        if len(self.z) != len(other.z):
+            return False
+        try:
+            scale = max([1.0, abs(self.t), abs(other.t)]
+                        + [abs(v) for v in self.z] + [abs(v) for v in other.z])
+        except OverflowError:  # |z_k| of finite parts beyond the float range
+            raise _overflow(*((f"z{k + 1}", v) for z in (self.z, other.z)
+                              for k, v in enumerate(z))) from None
+        return _close(c.tol(scale), self.t - other.t, *(a - b for a, b in zip(self.z, other.z)))
+
+    def to_json(self) -> dict:
+        if self.at_infinity:
+            return {"type": "infinity"}
+        return {"type": "finite", "z": [[v.real, v.imag] for v in self.z], "t": self.t}
+
+    @classmethod
+    def from_json(cls, obj: dict, path: str = "point") -> "BoundaryPoint":
+        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
+        kind = _json_field(obj, "type", path)
+        if kind == "infinity":
+            return cls.infinity()
+        if kind == "finite":
+            z = _json_list(_json_field(obj, "z", path), f"{path}.z")
+            return cls.finite([_json_complex(v, f"{path}.z[{k}]") for k, v in enumerate(z)],
+                              _json_number(_json_field(obj, "t", path), f"{path}.t"))
+        raise ValueError(f"{path}.type: unknown point type {kind!r}")
+
+
+def infer_dimension(points) -> int:
+    """Common ambient dimension of a tuple of boundary points."""
+    n = None
+    for p in points:
+        if p.at_infinity:
+            continue
+        k = len(p.z) + 1
+        if n is None:
+            n = k
+        elif n != k:
+            raise DimensionMismatch("points live in different dimensions")
+    if n is None:
+        raise CoincidentPoints("all points are at infinity")
+    return n
+
+
+def _check_count(m: int):
+    if m not in (3, 4):
+        raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
+
+
+def _underflow(i: int, j: int, size: float) -> UnderflowError:
+    """UnderflowError naming distinct points (or lifts) i < j and their entry's modulus."""
+    return UnderflowError(f"|<P{i + 1},P{j + 1}>| = {size!r} lies below the normal float range")
+
+
+def _points_rows(points, c: NumericConfig) -> tuple:
+    """Rows of the Gram matrix of the standard lifts of three or four points, in closed form.
+
+    For finite points i < j the entry is
+    g_ij = -|z_i - z_j|^2 + i(t_i - t_j + 2 Im<z_i - z_j, z_j>), the squared
+    Koranyi-Cygan distance in modulus, and g_ij = 1 when one point is at
+    infinity.  Points i and j coincide when |g_ij| <= tol(|dz|^2 + |dt| +
+    2|dz||z_j|), a bound by the entry's own terms, and two points at infinity
+    coincide.  A pair whose entry or bound leaves the float range raises
+    OverflowError naming the coordinates' magnitude, or InvalidParameter when
+    a coordinate is not finite; distinct points whose entry's modulus is
+    subnormal raise UnderflowError.  Errors, in order: DimensionMismatch, all
+    points at infinity, the count, then each pair in turn.
+    """
+    reads = []
+    width = None
+    for p in points:
+        if p.at_infinity:
+            reads.append(None)
+            continue
+        flat = []
+        for v in p.z:
+            flat += v.real, v.imag
+        if width is None:
+            width = len(flat)
+        elif width != len(flat):
+            raise DimensionMismatch("points live in different dimensions")
+        reads.append((flat, p.t, math.hypot(*flat)))
+    if width is None:
+        raise CoincidentPoints("all points are at infinity")
+    m = len(points)
+    _check_count(m)
+    a, r = c.abs_tol, c.rel_tol
+    rows = [[0j] * m for _ in range(m)]
+    for i in range(m - 1):
+        u = reads[i]
+        for j in range(i + 1, m):
+            v = reads[j]
+            if u is None or v is None:
+                if u is v:
+                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+                g = 1 + 0j
+            else:
+                pz, pt, _ = u
+                qz, qt, norm = v
+                dz2 = im = 0.0
+                for k in range(0, width, 2):  # the real and imaginary parts of one coordinate
+                    qr, qi = qz[k], qz[k + 1]
+                    dr, di = pz[k] - qr, pz[k + 1] - qi
+                    dz2 += dr * dr + di * di
+                    im += di * qr - dr * qi
+                dt = pt - qt
+                g = complex(0.0 - dz2, dt + 2.0 * im)  # 0.0 - 0.0 is +0.0, as <P_i, P_j> gives
+                try:
+                    size = abs(g)
+                except OverflowError:  # |g| of finite parts beyond the float range
+                    size = math.inf
+                bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norm
+                if not size < math.inf > bound:  # also when either is NaN
+                    raise _out_of_range(points[i], points[j], i, j)
+                if size <= bound:
+                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+                if size < _TINY:
+                    raise _underflow(i, j, size)
+            rows[i][j] = g
+            rows[j][i] = g.conjugate()
+    return tuple(map(tuple, rows))
+
+
+def _out_of_range(p, q, i: int, j: int) -> Exception:
+    """The error of finite points i < j whose Gram entry or distinctness bound is not finite."""
+    parts = [x for v in p.z + q.z for x in (v.real, v.imag)] + [p.t, q.t]
+    if all(map(math.isfinite, parts)):
+        return OverflowError(f"<P{i + 1},P{j + 1}> overflows for coordinates of magnitude "
+                             f"{max(map(abs, parts))}")
+    return InvalidParameter("Gram matrix entries must be finite")

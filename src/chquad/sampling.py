@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING
 
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
-from .hermitian import BoundaryPoint, Isometry, signature_basis
+from .hermitian import Isometry, signature_basis
 from .invariants import HALF_PI, ModuliPoint
 from .kinds import KINDS
 from .moduli import moduli_coordinates, moduli_residual, residual_scale
 from .numeric import NumericConfig
+from .points import BoundaryPoint
 
 if TYPE_CHECKING:
     import numpy as np

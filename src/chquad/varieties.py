@@ -21,11 +21,11 @@ from __future__ import annotations
 import cmath
 
 from .errors import CertificateFailure, InvalidParameter
-from .gram import _points_rows, congruent_antiholomorphic, congruent_holomorphic
-from .hermitian import BoundaryPoint
-from .invariants import CrossRatioTriple, ModuliPoint, cross_ratio_triple
+from .invariants import (CrossRatioTriple, ModuliPoint, congruent_antiholomorphic,
+                         congruent_holomorphic, cross_ratio_triple)
 from .moduli import moduli_coordinates
 from .numeric import Frozen, NumericConfig, _setattr, resolve
+from .points import BoundaryPoint, _points_rows
 
 
 def variety_residuals(x: CrossRatioTriple):

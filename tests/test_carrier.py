@@ -20,7 +20,6 @@ from chquad import (
     GramMatrix,
     HermitianVector,
     ModuliPoint,
-    apply_isometry,
     apply_isometry_point,
     classify,
     congruent_antiholomorphic,
@@ -58,7 +57,7 @@ def lift_sources():
         "reconstruct n=3": reconstruct(moduli_coordinates(QUAD), 3),
         "reconstruct C-plane n=2": reconstruct(C_PLANE, 2),
         "reconstruct C-plane n=3": reconstruct(C_PLANE, 3),
-        "apply_isometry": [apply_isometry(g, P) for P in lifts],
+        "apply_isometry": [HermitianVector(3, g.matrix @ P.coords) for P in lifts],
         "scaled": [P.scaled(0.3 - 1.7j) for P in lifts],
         "conjugated": [P.conjugated() for P in lifts],
         "from_json": [HermitianVector.from_json(P.to_json()) for P in lifts],
@@ -317,26 +316,35 @@ def test_import_chquad_loads_no_submodule():
     assert not modules & {"dataclasses", "inspect", "numpy", "csv"}
 
 
-LIBRARY = {"chquad.invariants", "chquad.moduli", "chquad.sampling", "chquad.varieties"}
-# the chquad modules each command must not load
-NOT_LOADED = {
-    "congruent": LIBRARY - {"chquad.invariants"},
-    "normalize": LIBRARY - {"chquad.invariants"},
-    "invariants": {"chquad.sampling", "chquad.varieties"},
-    "check-moduli": {"chquad.sampling", "chquad.varieties"},
-    "reconstruct": {"chquad.sampling", "chquad.varieties"},
-    "slice": {"chquad.sampling", "chquad.varieties"},
-    "counterexample": {"chquad.sampling"},
-    "malformed": {"chquad.hermitian", "chquad.gram"},
-    "sample": set(),
+POINTS_SIDE = {"cli", "errors", "numeric", "kinds", "points", "invariants", "moduli"}
+# the chquad modules each command loads besides the package itself, and the chquad source
+# lines those and __init__.py held when they were pinned; the line pins allow 2% growth
+LOADED = {
+    "invariants": (POINTS_SIDE, 1416),
+    "congruent": (POINTS_SIDE - {"moduli"}, 1185),
+    "check-moduli": (POINTS_SIDE, 1416),
+    "slice": (POINTS_SIDE, 1416),
+    "counterexample": (POINTS_SIDE | {"varieties"}, 1555),
+    "reconstruct": (POINTS_SIDE | {"hermitian"}, 1728),
+    "normalize": (POINTS_SIDE - {"moduli"} | {"hermitian", "gram"}, 1676),
+    "sample": (POINTS_SIDE | {"hermitian", "sampling"}, 1929),
+    "malformed": ({"cli", "errors", "numeric", "kinds"}, 594),
 }
 
 
-@pytest.mark.parametrize("command", list(NOT_LOADED))
+def source_lines(module: str) -> int:
+    name = "__init__" if module == "chquad" else module.split(".")[1]
+    return len((Path(chquad.__file__).parent / f"{name}.py").read_text().splitlines())
+
+
+@pytest.mark.parametrize("command", list(LOADED))
 def test_each_command_loads_only_what_it_runs(cli_argvs, command):
     code, modules = loaded_by(cli_argvs[command])
     assert code == (2 if command == "malformed" else 0)
-    assert not modules & NOT_LOADED[command]
+    ours = {m for m in modules if m == "chquad" or m.startswith("chquad.")}
+    names, lines = LOADED[command]
+    assert ours == {"chquad"} | {f"chquad.{name}" for name in names}
+    assert sum(map(source_lines, ours)) <= 1.02 * lines
     if command != "sample":
         assert not modules & {"dataclasses", "inspect", "numpy"}
     assert ("csv" in modules) == (command == "slice")

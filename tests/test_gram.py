@@ -15,14 +15,13 @@ from chquad import (
     det_face,
     det_gram,
     gram_of,
-    herm_product,
     normalize,
     normalized_gram_of_points,
     standard_lift,
 )
 from chquad.gram import FACES
 from chquad.sampling import random_isometry, random_quadruple
-from chquad.hermitian import apply_isometry_point
+from chquad.hermitian import _form, apply_isometry_point
 
 
 def lifts_of(points, n):
@@ -71,8 +70,8 @@ def test_gram_of_three_lifts():
     for i in range(3):
         assert G.entries[i, i] == 0
         for j in range(i + 1, 3):
-            assert G.entries[i, j] == herm_product(lifts[i], lifts[j])
-            assert G.entries[j, i] == herm_product(lifts[i], lifts[j]).conjugate()
+            assert G.entries[i, j] == _form(lifts[i].values, lifts[j].values)
+            assert G.entries[j, i] == _form(lifts[i].values, lifts[j].values).conjugate()
     for count in (2, 5):
         with pytest.raises(InvalidParameter):
             gram_of((lifts * 2)[:count])

@@ -12,20 +12,29 @@ from chquad import (
     NotIsometry,
     NotNull,
     ZeroVector,
-    apply_isometry,
+    apply_isometry_point,
     form_matrix,
     gram_of,
-    herm_product,
     moduli_coordinates,
     point_from_lift,
     signature_basis,
     standard_lift,
 )
+from chquad.hermitian import _form
 from chquad.sampling import random_boundary_point, random_isometry
 
 
 def vec(n, *coords):
     return HermitianVector(n, np.array(coords, dtype=complex))
+
+
+def herm_product(Z, W):
+    """<Z, W> by the package's kernel of the form."""
+    return _form(Z.values, W.values)
+
+
+def act(g, Z):
+    return HermitianVector(Z.n, g.matrix @ Z.coords)
 
 
 def test_product_values():
@@ -35,8 +44,8 @@ def test_product_values():
 
 
 def test_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        herm_product(vec(2, 0, 0, 1), vec(1, 1, 0))
+    with pytest.raises(DimensionMismatch, match="lifts live in different dimensions"):
+        gram_of([vec(2, 0, 0, 1), vec(2, 1, 0, 0), vec(1, 1, 0)])
 
 
 def test_conjugate_symmetry_and_sesquilinearity():
@@ -181,17 +190,17 @@ def test_signature():
 
 
 def test_apply_isometry():
-    Z = vec(2, 0, 0, 1)
-    ident = Isometry(2, np.eye(3))
-    assert np.allclose(apply_isometry(ident, Z).coords, Z.coords)
+    p = BoundaryPoint.finite([1 - 2j], 0.5)
+    assert apply_isometry_point(Isometry(2, np.eye(3)), p) == p
 
-    g = Isometry(2, np.diag([2.0, 1.0, 0.5]))
-    assert np.allclose(apply_isometry(g, Z).coords, [0, 0, 0.5])
+    g = Isometry(2, np.diag([2.0, 1.0, 0.5]))  # the dilation (z, t) -> (2z, 4t)
+    assert apply_isometry_point(g, p).isclose(BoundaryPoint.finite([2 - 4j], 2.0))
+    assert apply_isometry_point(g, BoundaryPoint.infinity()).at_infinity
 
     rng = np.random.default_rng(3)
     h = random_isometry(2, rng)
     P = standard_lift(random_boundary_point(2, rng), 2)
-    assert apply_isometry(h, P).is_null()
+    assert act(h, P).is_null()
 
 
 def test_isometry_rejects_non_preserving_matrix():
@@ -231,7 +240,7 @@ def test_isometry_preserves_products():
         Z = vec(3, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         W = vec(3, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         before = herm_product(Z, W)
-        after = herm_product(apply_isometry(g, Z), apply_isometry(g, W))
+        after = herm_product(act(g, Z), act(g, W))
         assert abs(before - after) <= 1e-9 * (1 + abs(before))
 
 

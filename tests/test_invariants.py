@@ -36,7 +36,7 @@ from chquad import (
     standard_lift,
 )
 from chquad.gram import FACES
-from chquad.hermitian import apply_isometry_point
+from chquad.hermitian import _form, apply_isometry_point
 from chquad.sampling import random_isometry, random_quadruple
 
 HALF_PI = math.pi / 2.0
@@ -121,8 +121,8 @@ def count_calls(monkeypatch, module, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for binding in (chquad.hermitian, chquad.gram, chquad.invariants, chquad.moduli,
-                    chquad.varieties, chquad.sampling):
+    for binding in (chquad.points, chquad.hermitian, chquad.gram, chquad.invariants,
+                    chquad.moduli, chquad.varieties, chquad.sampling):
         if getattr(binding, name, None) is original:
             monkeypatch.setattr(binding, name, counted)
     return calls
@@ -233,7 +233,7 @@ def test_cartan_of_entries_near_1e200_matches_a_dilation():
     points = [(0.3 - 0.7j, 0.4), (-1.1 + 0.2j, -1.3), (0.8 + 0.9j, 2.2)]
     lifts = [standard_lift(BoundaryPoint.finite([z], t), 2).scaled(s)
              for (z, t), s in zip(points, (1e100, -2e100j, 3e100 + 1e100j))]
-    g = [[chquad.herm_product(P, Q) for Q in lifts] for P in lifts]
+    g = [[_form(P.values, Q.values) for Q in lifts] for P in lifts]
     assert all(1e198 < abs(g[i][j]) < 1e202 for i, j in ((0, 1), (1, 2), (2, 0)))
     assert not cmath.isfinite(g[0][1] * g[1][2] * g[2][0])
     lam = 2.0 ** 10  # (z, t) -> (lam z, lam^2 t), exactly in floats

@@ -5,17 +5,17 @@ import pytest
 
 from chquad import (
     BoundaryPoint,
+    HermitianVector,
     InvalidParameter,
     NumericConfig,
-    apply_isometry,
     form_matrix,
     gram_of,
-    herm_product,
     in_moduli_space,
     moduli_coordinates,
     moduli_residual,
     standard_lift,
 )
+from chquad.hermitian import _form
 from chquad.sampling import (
     KINDS,
     random_boundary_point,
@@ -52,7 +52,7 @@ def test_boundary_point_lift_null():
     for _ in range(200):
         n = int(rng.integers(1, 5))
         P = standard_lift(random_boundary_point(n, rng), n)
-        assert abs(herm_product(P, P)) <= 1e-10 * (1.0 + P.scale() ** 2)
+        assert abs(_form(P.values, P.values)) <= 1e-10 * (1.0 + P.scale() ** 2)
 
 
 def test_quadruple_determinism():
@@ -130,7 +130,7 @@ def test_random_isometry_composition_and_action():
     J = form_matrix(2)
     assert np.max(np.abs(gh.matrix.conj().T @ J @ gh.matrix - J)) < 1e-8
     P = standard_lift(random_boundary_point(2, rng), 2)
-    assert apply_isometry(gh, P).is_null()
+    assert HermitianVector(2, gh.matrix @ P.coords).is_null()
 
 
 def test_random_isometry_determinism():
