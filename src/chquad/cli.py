@@ -11,21 +11,30 @@ failed (e.g. `points[0].z[0]: expected [re, im]`), 141 (128 + SIGPIPE)
 when the reader closes standard output early, as `chquad sample ... |
 head -1` does; nothing is written to stderr then.  A dimension n above
 MAX_N = 1024 (`reconstruct`, `check-moduli`, `sample --n`) is malformed
-input: four points span at most a CH^3.  Each command imports the modules
-it calls once it has read its input, as module loading is most of the
-time a call takes past interpreter start: without cached bytecode, on 2
-vCPUs, `chquad invariants` took ~100 ms, of which ~65 ms started Python,
-~15 ms compiled and ran chquad's modules, ~7 ms loaded the standard
-library's, and well under 1 ms was arithmetic.
+input: four points span at most a CH^3.
+
+argv is `[--tol X] COMMAND [--flag value | --flag=value ...]`, read once
+off the table COMMANDS; a flag is named exactly, never abbreviated.  A
+usage error (no or an unknown command, an unknown flag, a flag without a
+value or a required one missing, a literal int() or float() rejects, a
+--kind outside sampling.KINDS) prints a usage line and the reason to
+stderr, nothing to stdout, and exits 2; -h or --help exits 0.  Each
+command imports the modules it calls once it has read its input, as
+module loading is most of the time a call takes past interpreter start:
+without cached bytecode, on 2 vCPUs, `chquad invariants` took ~95 ms, of
+which ~65 ms started Python, ~16 ms compiled and ran chquad's modules,
+~4 ms loaded the standard library's (json for the most part), and well
+under 1 ms was arithmetic.  argparse, whose import and parser took ~6 ms
+more, is not loaded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import GeometryError, UnderflowError
 from .numeric import NumericConfig
@@ -228,75 +237,114 @@ def _cmd_slice(args, cfg):
     return None
 
 
-def _add_input(sub):
-    sub.add_argument("--input", default="-", help="input JSON file, '-' for stdin")
+def _kind(value: str) -> str:
+    """--kind's type: one of sampling.KINDS, read from the samplers that `sample` loads."""
+    from .sampling import KINDS
+
+    if value not in KINDS:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(KINDS)})")
+    return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from .kinds import KINDS
+# command -> (handler name, help line, {flag: (type, default)}), a default of None marking
+# a required flag; main looks the handler up by name when the command runs
+_INPUT = {"input": (str, "-")}
+COMMANDS = {
+    "invariants": ("_cmd_invariants", "quadruple -> moduli, cross-ratios, classification",
+                   _INPUT),
+    "normalize": ("_cmd_normalize", "null lifts -> Gram matrix and its normal form", _INPUT),
+    "reconstruct": ("_cmd_reconstruct", "moduli point + n -> realizing quadruple", _INPUT),
+    "check-moduli": ("_cmd_check_moduli", "moduli point + n -> membership and residuals",
+                     _INPUT),
+    "congruent": ("_cmd_congruent", "two quadruples -> congruence verdicts", _INPUT),
+    "counterexample": ("_cmd_counterexample",
+                       "certificate that cross-ratio coordinates glue two classes",
+                       {"t": (float, None)}),
+    "sample": ("_cmd_sample", "random quadruples as JSON lines",
+               {"n": (int, None), "kind": (_kind, "generic"), "count": (int, 1),
+                "seed": (int, 0)}),
+    "slice": ("_cmd_slice", "CSV of the defining residual on a real (X1, X2) grid at fixed A",
+              {"a": (float, None), "x1-min": (float, -1.0), "x1-max": (float, 3.0),
+               "x1-steps": (int, 81), "x2-min": (float, -1.0), "x2-max": (float, 3.0),
+               "x2-steps": (int, 81)}),
+}
+_TOP = {"tol": (float, None)}  # the flags before the command; no --tol: the default config
 
-    parser = argparse.ArgumentParser(
-        prog="chquad",
-        description="Invariants and moduli coordinates of boundary quadruples "
-                    "in complex hyperbolic n-space.",
-    )
-    parser.add_argument("--tol", type=float, default=None,
-                        help="abs_tol and rel_tol of the config passed to every call")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="quadruple -> moduli, cross-ratios, classification")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_invariants)
+class _Usage(Exception):
+    """(command, reason): argv does not fit COMMANDS, or with reason None asks for help."""
 
-    p = sub.add_parser("normalize", help="null lifts -> Gram matrix and its normal form")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_normalize)
 
-    p = sub.add_parser("reconstruct", help="moduli point + n -> realizing quadruple")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_reconstruct)
+def _parse(argv):
+    """(command, args) read off argv: [--tol X] COMMAND [--flag value | --flag=value ...].
 
-    p = sub.add_parser("check-moduli", help="moduli point + n -> membership and residuals")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_check_moduli)
+    A value is the next token as it stands, so `--count -1` reaches the handler's own
+    check; a repeated flag keeps its last value.
+    """
+    command, flags, values, tol, k = None, _TOP, {}, None, 0
+    while k < len(argv):
+        token, k = argv[k], k + 1
+        if token in ("-h", "--help"):
+            raise _Usage(command, None)
+        if command is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                raise _Usage(None, f"unknown command {token!r}")
+            command, flags, tol, values = token, COMMANDS[token][2], values.get("tol"), {}
+            continue
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name[2:] not in flags:
+            raise _Usage(command, f"unrecognized argument {token!r}")
+        if not eq:
+            if k == len(argv):
+                raise _Usage(command, f"{name} expects a value")
+            value, k = argv[k], k + 1
+        try:
+            values[name[2:]] = flags[name[2:]][0](value)
+        except ValueError as e:
+            raise _Usage(command, f"{name}: {e}") from None
+    if command is None:
+        raise _Usage(None, "a command is required")
+    missing = [f"--{f}" for f, (_, default) in flags.items()
+               if default is None and f not in values]
+    if missing:
+        raise _Usage(command, f"missing {', '.join(missing)}")
+    args = {f.replace("-", "_"): values.get(f, default) for f, (_, default) in flags.items()}
+    return command, SimpleNamespace(tol=tol, **args)
 
-    p = sub.add_parser("congruent", help="two quadruples -> congruence verdicts")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_congruent)
 
-    p = sub.add_parser("counterexample",
-                       help="certificate that cross-ratio coordinates glue two classes")
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(handler=_cmd_counterexample)
-
-    p = sub.add_parser("sample", help="random quadruples as JSON lines")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=KINDS, default="generic")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("slice",
-                       help="CSV of the defining residual on a real (X1, X2) grid at fixed A")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--x1-min", type=float, default=-1.0)
-    p.add_argument("--x1-max", type=float, default=3.0)
-    p.add_argument("--x1-steps", type=int, default=81)
-    p.add_argument("--x2-min", type=float, default=-1.0)
-    p.add_argument("--x2-max", type=float, default=3.0)
-    p.add_argument("--x2-steps", type=int, default=81)
-    p.set_defaults(handler=_cmd_slice)
-
-    return parser
+def _help(command) -> list:
+    """The help lines of a command (None: of chquad), read off COMMANDS; the first is usage."""
+    if command is None:
+        return ["usage: chquad [-h] [--tol TOL] COMMAND [--FLAG VALUE ...]", "",
+                "Invariants and moduli coordinates of boundary quadruples in complex "
+                "hyperbolic n-space.", "", "commands:",
+                *(f"  {name:<16}{text}" for name, (_, text, _) in COMMANDS.items()), "",
+                "  --tol TOL       abs_tol and rel_tol of the config passed to every call", "",
+                "A flag is --name value or --name=value, by its exact name."]
+    _, text, flags = COMMANDS[command]
+    usage = (f"--{f} {f.upper().replace('-', '_')}" for f in flags)
+    usage = (u if default is None else f"[{u}]" for u, (_, default) in zip(usage, flags.values()))
+    return [" ".join(["usage: chquad", command, "[-h]", *usage]), "", text, "", "flags:",
+            *(f"  --{f:<14}{'required' if default is None else f'default {default}'}"
+              for f, (_, default) in flags.items()),
+            *(["", "--input names a JSON file; '-' reads stdin."] if "input" in flags else [])]
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as e:
+        command, reason = e.args
+        if reason is None:
+            print("\n".join(_help(command)))
+            return 0
+        print(_help(command)[0], f"chquad: error: {reason}", sep="\n", file=sys.stderr)
+        return 2
     try:
         if args.tol is not None and not 0.0 < args.tol < math.inf:
             raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         cfg = NumericConfig() if args.tol is None else NumericConfig(args.tol, args.tol)
-        payload = args.handler(args, cfg)
+        payload = globals()[COMMANDS[command][0]](args, cfg)
         text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False)
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))

@@ -29,7 +29,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, NotIsometry, NotNull, ZeroVector
-from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
+from .numeric import (_LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
+                      resolve)
 from .points import BoundaryPoint, _json_complex, _json_field, _json_list, infer_dimension
 
 if TYPE_CHECKING:
@@ -211,13 +212,21 @@ def _scale(z) -> float:
 def _is_null(z, s: float, c: NumericConfig) -> bool:
     """Is <z, z> negligible against s^2, where s is the largest coordinate magnitude?
 
+    By the range rule, s^2 is taken as it reads while s lies in the window;
+    below it, where s^2 would lose bits or vanish, z and s are first scaled
+    exactly by 2^-e, e the exponent of s, and abs_tol with them by 4^-e.
     Raises OverflowError when s is finite but <z, z> is not, as a finite
     input then has no defined verdict.
     """
+    floor = c.abs_tol
+    if s < _LO:
+        e = math.frexp(s)[1]
+        z = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in z]
+        s, floor = math.ldexp(s, -e), _ldexp(floor, -2 * e)
     form = abs(_form(z, z))
     if math.isfinite(s) and not math.isfinite(form):
         raise OverflowError(f"<Z,Z> overflows for coordinates of magnitude {s}")
-    return form <= c.tol(s * s)
+    return form <= floor + c.rel_tol * (s * s)
 
 
 def _lift(p: BoundaryPoint, n: int) -> list:

@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING
 
 from .errors import (CartanOutOfRange, DegenerateEntry, InvalidFace, InvalidParameter,
                      NotNormalForm, ZeroCrossRatio)
-from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
+from .numeric import (_HI, _LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
+                      resolve)
 from .points import _json_complex, _json_field, _json_number, _points_rows
 
 if TYPE_CHECKING:
@@ -52,7 +53,6 @@ if TYPE_CHECKING:
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 HALF_PI = math.pi / 2.0
-_LO, _HI = 2.0 ** -500, 2.0 ** 500  # the products' window: see _cross_ratio
 
 
 def _mantissa(v: complex) -> tuple:
@@ -63,14 +63,6 @@ def _mantissa(v: complex) -> tuple:
     """
     e = math.frexp(max(abs(v.real), abs(v.imag)))[1]
     return complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)), e
-
-
-def _ldexp(x: float, e: int) -> float:
-    """x 2^e, rounded once; +-inf beyond the float range, as a product overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def _cross_ratio(g, i, j, k, l) -> complex:

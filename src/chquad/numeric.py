@@ -8,14 +8,18 @@ function passes its own to every value it builds, and a value derived
 from another (a conjugate, a composite, the normal form of a moduli
 point) keeps that value's.  Checks against a quantity with a natural
 scale use ``abs_tol + rel_tol * scale`` where the scale is the largest
-magnitude involved.
+magnitude involved.  By the range rule, a product whose modulus lies in
+the window [2^-500, 2^500] is taken as it reads, and otherwise formed on
+factors scaled exactly by powers of two.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 _setattr = object.__setattr__  # how an __init__ sets a field of a Frozen value, once
+_LO, _HI = 2.0 ** -500, 2.0 ** 500  # the range rule's window (module docstring)
 
 
 class Frozen:
@@ -82,6 +86,14 @@ def resolve(cfg: NumericConfig | None) -> NumericConfig:
 def small(x: complex, scale: float = 1.0, cfg: NumericConfig | None = None) -> bool:
     """Is |x| negligible against the given scale?"""
     return abs(x) <= resolve(cfg).tol(scale)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, rounded once; +-inf beyond the float range, as a product overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _close(tol: float, *differences) -> bool:

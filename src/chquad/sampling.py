@@ -18,7 +18,6 @@ from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, Resamp
                      ZeroCrossRatio)
 from .hermitian import Isometry, signature_basis
 from .invariants import HALF_PI, ModuliPoint
-from .kinds import KINDS
 from .moduli import moduli_coordinates, moduli_residual, residual_scale
 from .numeric import NumericConfig
 from .points import BoundaryPoint
@@ -26,6 +25,7 @@ from .points import BoundaryPoint
 if TYPE_CHECKING:
     import numpy as np
 
+KINDS = ("generic", "c_plane", "r_plane", "subspace2")  # what random_quadruple draws
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
 MARGIN = 1e-3  # random_moduli_point keeps |A| below pi/2 - MARGIN

@@ -316,19 +316,19 @@ def test_import_chquad_loads_no_submodule():
     assert not modules & {"dataclasses", "inspect", "numpy", "csv"}
 
 
-POINTS_SIDE = {"cli", "errors", "numeric", "kinds", "points", "invariants", "moduli"}
+POINTS_SIDE = {"cli", "errors", "numeric", "points", "invariants", "moduli"}
 # the chquad modules each command loads besides the package itself, and the chquad source
 # lines those and __init__.py held when they were pinned; the line pins allow 2% growth
 LOADED = {
-    "invariants": (POINTS_SIDE, 1416),
-    "congruent": (POINTS_SIDE - {"moduli"}, 1185),
-    "check-moduli": (POINTS_SIDE, 1416),
-    "slice": (POINTS_SIDE, 1416),
-    "counterexample": (POINTS_SIDE | {"varieties"}, 1555),
-    "reconstruct": (POINTS_SIDE | {"hermitian"}, 1728),
-    "normalize": (POINTS_SIDE - {"moduli"} | {"hermitian", "gram"}, 1676),
-    "sample": (POINTS_SIDE | {"hermitian", "sampling"}, 1929),
-    "malformed": ({"cli", "errors", "numeric", "kinds"}, 594),
+    "invariants": (POINTS_SIDE, 1461),
+    "congruent": (POINTS_SIDE - {"moduli"}, 1230),
+    "check-moduli": (POINTS_SIDE, 1461),
+    "slice": (POINTS_SIDE, 1461),
+    "counterexample": (POINTS_SIDE | {"varieties"}, 1600),
+    "reconstruct": (POINTS_SIDE | {"hermitian"}, 1782),
+    "normalize": (POINTS_SIDE - {"moduli"} | {"hermitian", "gram"}, 1730),
+    "sample": (POINTS_SIDE | {"hermitian", "sampling"}, 1983),
+    "malformed": ({"cli", "errors", "numeric"}, 647),
 }
 
 
@@ -347,4 +347,5 @@ def test_each_command_loads_only_what_it_runs(cli_argvs, command):
     assert sum(map(source_lines, ours)) <= 1.02 * lines
     if command != "sample":
         assert not modules & {"dataclasses", "inspect", "numpy"}
+    assert not modules & {"argparse", "gettext", "locale"}  # argv is read off cli.COMMANDS
     assert ("csv" in modules) == (command == "slice")

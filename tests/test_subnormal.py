@@ -14,9 +14,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chquad import (BoundaryPoint, CartanOutOfRange, CoincidentPoints, NotNull, NumericConfig,
-                    UnderflowError, cartan, cartan_from_lifts, cross_ratio,
-                    cross_ratio_from_lifts, gram_of, moduli_coordinates, standard_lift)
+from chquad import (BoundaryPoint, CartanOutOfRange, CoincidentPoints, HermitianVector, NotNull,
+                    NumericConfig, UnderflowError, cartan, cartan_from_lifts, cross_ratio,
+                    cross_ratio_from_lifts, gram_of, moduli_coordinates, point_from_lift,
+                    standard_lift)
 from chquad.cli import main
 from chquad.sampling import random_quadruple
 
@@ -56,7 +57,7 @@ def test_dilated_points_give_their_moduli_or_a_named_error():
 
 def test_rescaled_lifts_give_their_invariants_or_a_named_error():
     # lifts scaled by (N(0,1) + iN(0,1)) 10^(250 U(-1,1)): some entries overflow (OverflowError),
-    # some lifts' nullity falls below the float range (NotNull), some entries turn subnormal
+    # some turn subnormal; a lift's nullity is decided at any scale, so no NotNull
     rng = np.random.default_rng(123)
     seen = Counter()
     for _ in range(3000):
@@ -66,7 +67,7 @@ def test_rescaled_lifts_give_their_invariants_or_a_named_error():
         try:
             a = cartan_from_lifts(*lifts[:3], ZERO_ABS)
             x = cross_ratio_from_lifts(*lifts, ZERO_ABS)
-        except (OverflowError, NotNull, UnderflowError, CoincidentPoints, CartanOutOfRange) as e:
+        except (OverflowError, UnderflowError, CoincidentPoints, CartanOutOfRange) as e:
             seen[type(e).__name__] += 1
             continue
         want_a, want_x = cartan(*q[:3], ZERO_ABS), cross_ratio(*q, ZERO_ABS)
@@ -78,6 +79,15 @@ def test_rescaled_lifts_give_their_invariants_or_a_named_error():
 
 QUAD = [BoundaryPoint.finite([0.3 - 0.7j], 0.4), BoundaryPoint.finite([-1.1 + 0.2j], -1.3),
         BoundaryPoint.infinity(), BoundaryPoint.finite([0.8 + 0.9j], 2.2)]
+
+
+def test_a_null_lift_below_the_window_is_null():
+    # s^2 ~ 2.5e-320 is subnormal, so <Z,Z> was held to a bound that had lost its bits
+    lift = standard_lift(QUAD[0], 2).scaled((0.7 - 1.3j) * 1e-160)
+    assert lift.is_null(ZERO_ABS)
+    assert point_from_lift(lift, ZERO_ABS).isclose(QUAD[0])
+    with pytest.raises(NotNull):  # <Z,Z> = 2e-320 against s^2 = 1e-320
+        point_from_lift(HermitianVector(2, [1e-160, 0, 1e-160]), ZERO_ABS)
 
 
 def test_the_error_names_the_pair_and_the_magnitude():

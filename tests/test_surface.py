@@ -101,9 +101,8 @@ def test_submodules_are_attributes_of_the_package():
 
 
 def test_sampling_kinds_is_the_one_tuple():
-    from chquad.kinds import KINDS
-    from chquad.sampling import KINDS as SAMPLING_KINDS
-    assert SAMPLING_KINDS is KINDS == ("generic", "c_plane", "r_plane", "subspace2")
+    from chquad.sampling import KINDS
+    assert KINDS == ("generic", "c_plane", "r_plane", "subspace2")
 
 
 TRIPLE = CrossRatioTriple(0.5, 0.5, -1.0)
