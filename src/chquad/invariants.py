@@ -28,9 +28,10 @@ isometry precisely when their moduli points coincide, and under an
 anti-holomorphic one precisely when one is (conj X1, conj X2, -A) of
 the other.
 
-Every value here is read off one Gram matrix (the rows of
-``points._points_rows`` of points, or of ``gram._gram`` of lifts), and
-each formula (cross-ratio, Cartan, F, face determinants) has one
+Every value here is read off one Gram matrix: the rows of
+``points._points_rows`` of points or of ``gram._gram`` of lifts, or,
+for the face determinants, a normal form's free entries g13, g14, g24.
+Each formula (cross-ratio, Cartan, F, face determinants) has one
 definition.  A product is taken as it reads while its modulus lies in
 [2^-500, 2^500], and otherwise on its factors scaled exactly by powers
 of two, so rows at any scale give full-precision values.
@@ -137,6 +138,12 @@ def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     return _cross_ratio(_points_rows((p1, p2, p3, p4), resolve(cfg)), 0, 1, 2, 3)
 
 
+def _check_nonzero(x1: complex, x2: complex, c: NumericConfig):
+    """ModuliPoint's guard: ZeroCrossRatio unless |X1| and |X2| exceed c's absolute tolerance."""
+    if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:
+        raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
+
+
 class ModuliPoint(Frozen):
     """Moduli coordinates (X1, X2, A) of a quadruple class.
 
@@ -155,13 +162,10 @@ class ModuliPoint(Frozen):
         _setattr(self, "x2", x2)
         _setattr(self, "cartan", cartan)
         _setattr(self, "cfg", cfg)
-        c = resolve(cfg)
         try:
-            zero = abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol
+            _check_nonzero(x1, x2, resolve(cfg))
         except OverflowError:  # a modulus of finite parts beyond the float range
             raise _overflow(("X1", x1), ("X2", x2)) from None
-        if zero:
-            raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
 
     def isclose(self, other: "ModuliPoint", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
@@ -306,10 +310,15 @@ def moduli_from_gram(G: NormalizedGram, cfg: NumericConfig | None = None) -> Mod
 
 def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
     """Rebuild the Gram normal form from (X1, X2, A), with m's config."""
-    g13 = -cmath.exp(-1j * m.cartan)
-    g14 = 1.0 / m.x2.conjugate()
-    g24 = -(m.x1.conjugate() / m.x2.conjugate()) * cmath.exp(1j * m.cartan)
-    return NormalizedGram(g13, g14, g24, m.cfg)
+    return _normal_form(m.x1, m.x2, m.cartan, m.cfg)
+
+
+def _normal_form(x1: complex, x2: complex, a: float, cfg: NumericConfig | None) -> NormalizedGram:
+    """The dictionary's image g13 = -e^{-iA}, g14 = 1/conj(X2), g24 = -(conj X1/conj X2) e^{iA}."""
+    g13 = -cmath.exp(-1j * a)
+    g14 = 1.0 / x2.conjugate()
+    g24 = -(x1.conjugate() / x2.conjugate()) * cmath.exp(1j * a)
+    return NormalizedGram(g13, g14, g24, cfg)
 
 
 def _defining_function(x1: complex, x2: complex, a: float) -> float:
@@ -333,10 +342,14 @@ def det_gram(G: NormalizedGram) -> float:
             + abs(g14) ** 2 + abs(g24) ** 2 + 1.0)
 
 
-def _face_det(g, face) -> float:
-    """Determinant of the principal minor of Gram rows g on a 1-based face: 2 Re g_ij g_jk g_ki."""
-    i, j, k = face
-    return 2.0 * (g[i - 1][j - 1] * g[j - 1][k - 1] * g[k - 1][i - 1]).real
+def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
+    """The four face determinants of the normal form with free entries g13, g14, g24.
+
+    Face (i, j, k) gives 2 Re g_ij g_jk g_ki; with the unit entries left out, in the order
+    of ``FACES``, that is 2 Re g13, 2 Re(g24 conj g14), 2 Re(g13 conj g14) and 2 Re g24.
+    """
+    return (2.0 * g13.real, 2.0 * (g24 * g14.conjugate()).real,
+            2.0 * (g13 * g14.conjugate()).real, 2.0 * g24.real)
 
 
 def det_face(G: NormalizedGram, face) -> float:
@@ -348,7 +361,7 @@ def det_face(G: NormalizedGram, face) -> float:
     face = tuple(face)
     if face not in FACES:
         raise InvalidFace(f"face must be one of {FACES}, got {face}")
-    return _face_det(G.rows, FACES[FACES.index(face)])
+    return _face_dets(G.g13, G.g14, G.g24)[FACES.index(face)]
 
 
 def face_dets_from_moduli(m: ModuliPoint) -> tuple:
@@ -356,8 +369,8 @@ def face_dets_from_moduli(m: ModuliPoint) -> tuple:
 
     Order matches ``gram.FACES``.
     """
-    g = gram_from_moduli(m).rows
-    return tuple(_face_det(g, face) for face in FACES)
+    G = gram_from_moduli(m)
+    return _face_dets(G.g13, G.g14, G.g24)
 
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:

@@ -24,10 +24,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
-from .invariants import (HALF_PI, ModuliPoint, _defining_function, _face_det, _moduli,
-                         _quadruple_gram, face_dets_from_moduli, gram_from_moduli)
-from .numeric import Frozen, NumericConfig, _setattr, resolve, small
+from .errors import (InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated,
+                     UnderflowError)
+from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _defining_function, _face_dets,
+                         _moduli, _normal_form, _quadruple_gram, gram_from_moduli)
+from .numeric import Frozen, NumericConfig, _setattr, resolve
+from .points import _TINY
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
@@ -52,6 +54,15 @@ def residual_scale(m: ModuliPoint) -> float:
 def real_slice_residual(x1: float, x2: float, a: float) -> float:
     """F restricted to real X1, X2: the conic family of the real slice."""
     return _defining_function(x1, x2, a)
+
+
+def _x2_squared(r2: float) -> float:
+    """|X2|^2 of |X2| = r2, which classify and reconstruct divide by; UnderflowError below
+    the normal float range."""
+    x2_sq = r2 ** 2
+    if x2_sq < _TINY:
+        raise UnderflowError(f"|X2| = {r2!r}: |X2|^2 lies below the normal float range")
+    return x2_sq
 
 
 def _positivity(m: ModuliPoint) -> float:
@@ -86,7 +97,8 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
 
     The lifts are P1 = (0,...,0,1), P2 = (1,0,...,0),
     P3 = (z1, z, 1) and P4 = (w1, w, w_last) with z, w in C^{n-1}.
-    The anchor entries come from the Gram normal form of m:
+    The anchor entries come from the Gram normal form of (X1, X2, A),
+    A clamped to [-pi/2, pi/2] and checked with cfg:
     z1 = conj(g13), w1 = conj(g14), w_last = conj(g24).  Nullity of P3
     and P4 pins |z|^2 = -2 Re(g13) and |w|^2 = -2 Re(g24 conj(g14)),
     and the unit entry g34 = 1 demands <z, w> = R with
@@ -96,6 +108,7 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     R and the leftover norm, which is possible exactly when F <= 0
     (Cauchy-Schwarz).  Any choice of solution lands in the same
     congruence class, so the canonical one below is as good as any.
+    A |X2|^2 below the normal float range raises UnderflowError.
     """
     from .hermitian import HermitianVector  # the lift side, which only this function needs
 
@@ -105,20 +118,21 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     if not in_moduli_space(m, n, c):
         raise NotInModuliSpace(f"{m} is not realized by any quadruple in dimension {n}")
 
-    a = min(max(m.cartan, -HALF_PI), HALF_PI)
-    g = gram_from_moduli(ModuliPoint(m.x1, m.x2, a, c)).rows
-    z1, w1, w_last = g[2][0], g[3][0], g[3][1]  # conj(g13), conj(g14), conj(g24)
+    _check_nonzero(m.x1, m.x2, c)  # cfg's guard, which may be stricter than m's own
+    x2_sq = _x2_squared(abs(m.x2))
+    G = _normal_form(m.x1, m.x2, min(max(m.cartan, -HALF_PI), HALF_PI), c)
+    z1, w1, w_last = G.g13.conjugate(), G.g14.conjugate(), G.g24.conjugate()
 
-    zz = -_face_det(g, (1, 2, 3))
-    ww = -_face_det(g, (1, 2, 4))
-    ww_slack = 2.0 * c.tol(abs(m.x1)) / abs(m.x2) ** 2 + c.abs_tol
+    d123, d124 = _face_dets(G.g13, G.g14, G.g24)[:2]
+    zz, ww = -d123, -d124
+    ww_slack = 2.0 * c.tol(abs(m.x1)) / x2_sq + c.abs_tol
     if zz < 0.0 or ww < -ww_slack:
         raise InconsistentGram("negative squared norm; input is off the moduli space")
     z_norm = math.sqrt(zz)
     w_norm = math.sqrt(max(ww, 0.0))
     ww = w_norm * w_norm
     R = 1.0 - z1 * w_last.conjugate() - w1.conjugate()
-    det_slack = c.tol(residual_scale(m) / abs(m.x2) ** 2 + 1.0)
+    det_slack = c.tol(residual_scale(m) / x2_sq + 1.0)
 
     zvec = [0j] * (n - 1)
     wvec = [0j] * (n - 1)
@@ -185,37 +199,32 @@ def classify(m: ModuliPoint, cfg: NumericConfig | None = None) -> Classification
     the singular set of the moduli space.  It is R-plane (all four
     points on one R-circle) iff A = 0 with X1, X2 positive reals on
     the conic -2(X1+X2) - 2 X1 X2 + X1^2 + X2^2 + 1 = 0, which is
-    F = 0 restricted to real coordinates.
+    F = 0 restricted to real coordinates.  A |X2|^2 below the normal
+    float range raises UnderflowError.
     """
-    c = resolve(cfg)
-    F = moduli_residual(m)
-    on_shell = abs(F) <= c.tol(residual_scale(m))
-    x1, x2 = m.x1, m.x2
+    tol = resolve(cfg).tol
+    x1, x2, a = m.x1, m.x2, m.cartan
+    r1, r2 = abs(x1), abs(x2)
+    F = _defining_function(x1, x2, a)
+    on_shell = abs(F) <= tol(1.0 + r1 ** 2 + r2 ** 2)
+    w = 2.0 / _x2_squared(r2)
+    G = gram_from_moduli(m)
+    d123, d124, d134, d234 = _face_dets(G.g13, G.g14, G.g24)
     # face determinant = -2 q (faces 2-4: -2 q / |X2|^2) for a q held to tol(scale)
-    weights = (2.0,) + (2.0 / abs(x2) ** 2,) * 3
-    faces = tuple(abs(d) <= w * c.tol(scale) for d, w, scale in zip(
-        face_dets_from_moduli(m), weights, (1.0, abs(x1), abs(x2), abs(x1 * x2))))
-    reals = small(x1.imag, abs(x1), c) and small(x2.imag, abs(x2), c)
-    at_half_pi = abs(abs(m.cartan) - HALF_PI) <= c.tol(1.0)
-    sum_one = abs(x1.real + x2.real - 1.0) <= c.tol(abs(x1) + abs(x2))
-    is_c = at_half_pi and reals and sum_one
-    is_r = (abs(m.cartan) <= c.tol(1.0) and reals and on_shell
-            and x1.real > 0.0 and x2.real > 0.0)
+    unit = tol(1.0)
+    faces = (abs(d123) <= 2.0 * unit, abs(d124) <= w * tol(r1), abs(d134) <= w * tol(r2),
+             abs(d234) <= w * tol(abs(x1 * x2)))
+    reals = abs(x1.imag) <= tol(r1) and abs(x2.imag) <= tol(r2)
+    is_c = (abs(abs(a) - HALF_PI) <= unit and reals
+            and abs(x1.real + x2.real - 1.0) <= tol(r1 + r2))
+    is_r = abs(a) <= unit and reals and on_shell and x1.real > 0.0 and x2.real > 0.0
     if on_shell:
         sign = "zero"
     elif F < 0.0:
         sign = "negative"
     else:
         sign = "positive"
-    return ClassificationReport(
-        residual=F,
-        face_on_chain=faces,
-        is_c_plane=is_c,
-        is_r_plane=is_r,
-        in_real_slice=reals and on_shell,
-        in_singular_set=is_c,
-        det_sign=sign,
-    )
+    return ClassificationReport(F, faces, is_c, is_r, reals and on_shell, is_c, sign)
 
 
 def positivity_check(m: ModuliPoint, cfg: NumericConfig | None = None) -> bool:

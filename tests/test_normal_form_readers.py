@@ -1,0 +1,180 @@
+"""``classify`` and ``reconstruct`` read the normal form's three free entries.
+
+Both take the face determinants from ``invariants._face_dets`` on (g13, g14, g24).  The
+verdicts are checked against the triple products of the full rows of
+``gram_from_moduli(m)``, an oracle that does not go through ``_face_dets``, on sampled
+moduli and on points nudged across each threshold.  The reconstructed lifts and the
+classification reports are pinned bit for bit by digests recorded before the faces were
+read off the free entries (x86-64, glibc 2.36, numpy 2.4).  A |X2|^2 below the normal
+float range, which both functions divide by, raises UnderflowError.
+"""
+
+import cmath
+import hashlib
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from chquad import (GeometryError, ModuliPoint, NumericConfig, UnderflowError, ZeroCrossRatio,
+                    classify, gram_from_moduli, moduli_coordinates, reconstruct)
+from chquad.cli import main
+from chquad.gram import FACES
+from chquad.sampling import KINDS, random_chain_moduli, random_moduli_point, random_quadruple
+
+HALF_PI = math.pi / 2.0
+CONFIGS = (None, NumericConfig(0.0, 1e-12), NumericConfig(1e-6, 1e-6))
+NUDGES = (0.5, 0.99, 1.01, 2.0)  # multiples of a threshold, on either side of it
+ZERO_ABS = NumericConfig(0.0, 1e-9)
+
+
+def base_points():
+    """(X1, X2, A) of sampled quadruples of every kind, of chain points and of moduli draws."""
+    rng = np.random.default_rng(18)
+    ms = [moduli_coordinates(random_quadruple(n, kind, rng))
+          for kind in KINDS for n in (2, 3) for _ in range(8)]
+    ms += [random_chain_moduli(rng, sign) for sign in (1.0, -1.0) for _ in range(8)]
+    ms += [random_moduli_point(rng) for _ in range(16)]
+    return [(m.x1, m.x2, m.cartan) for m in ms]
+
+
+def nudged(x1, x2, a, tol):
+    """(x1, x2, a) moved so that each face's chain quantity, the R-circle angle and the
+    chain conditions sit at a multiple of their threshold tol(scale), on either side."""
+    out = []
+    for k in NUDGES:
+        for s in (1.0, -1.0):
+            q = s * k
+            # face (1,2,3): cos A; (1,2,4): Re(X1 e^{-iA}); (1,3,4): Re(X2 e^{iA});
+            # (2,3,4): Re(X1 conj(X2) e^{-iA})
+            out.append((x1, x2, math.copysign(HALF_PI - k * tol(1.0), a)))
+            y = (x1 * cmath.exp(-1j * a)).imag
+            out.append(((q * tol(abs(y)) + 1j * y) * cmath.exp(1j * a), x2, a))
+            y = (x2 * cmath.exp(1j * a)).imag
+            out.append((x1, (q * tol(abs(y)) + 1j * y) * cmath.exp(-1j * a), a))
+            u = x2.conjugate() * cmath.exp(-1j * a)
+            y = (x1 * u).imag
+            out.append(((q * tol(abs(y)) + 1j * y) / u, x2, a))
+            # the R-circle angle, then the chain conditions |A| = pi/2, Im X1 = 0, X1 + X2 = 1
+            out.append((x1, x2, q * tol(1.0)))
+            out.append((x1, x2, math.copysign(HALF_PI + q * tol(1.0), a)))
+            out.append((x1 + 1j * q * tol(abs(x1)), x2, a))
+            out.append((x1, x2 + q * tol(abs(x1) + abs(x2)), a))
+    return out
+
+
+def corpus(c):
+    """Base points, each nudged across every threshold of c, and with |X2| down to 1e-6."""
+    tol = (NumericConfig() if c is None else c).tol
+    out = []
+    for x1, x2, a in base_points():
+        out.append((x1, x2, a))
+        out += nudged(x1, x2, a, tol)
+        out += [(x1, x2 * 10.0 ** -j, a) for j in range(1, 7)]
+    return out
+
+
+def classify_or_error(x1, x2, a, c):
+    try:
+        m = ModuliPoint(x1, x2, a, c)
+        return m, classify(m, c)
+    except GeometryError as e:
+        return None, type(e).__name__
+
+
+def digest(items) -> str:
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()
+
+
+def hex_bits(z: complex) -> list:
+    return [z.real.hex(), z.imag.hex()]
+
+
+@pytest.mark.parametrize("c", CONFIGS)
+def test_face_flags_match_the_triple_products_of_the_rows(c):
+    tol = (NumericConfig() if c is None else c).tol
+    flags = np.zeros((4, 2), dtype=int)
+    for x1, x2, a in corpus(c):
+        m, rep = classify_or_error(x1, x2, a, c)
+        if m is None:
+            continue
+        r = gram_from_moduli(m).rows
+        w = 2.0 / abs(m.x2) ** 2
+        weights = (2.0, w, w, w)
+        scales = (1.0, abs(m.x1), abs(m.x2), abs(m.x1 * m.x2))
+        for f, ((i, j, k), flag) in enumerate(zip(FACES, rep.face_on_chain)):
+            i, j, k = i - 1, j - 1, k - 1
+            want = abs(2 * (r[i][j] * r[j][k] * r[k][i]).real) <= weights[f] * tol(scales[f])
+            assert flag == want, (m, FACES[f])
+            flags[f, flag] += 1
+    assert (flags > 100).all(), flags  # every face is seen on and off its chain
+
+
+# sha256 of the reports (or error names) over corpus(c), one per config of CONFIGS
+REPORTS = ("16fa178bb450c66d40a2203dc4c030404f2bf7554e7fad182c6036fa6b7aba21",
+           "64bf334ba98c49cb17d3df3925f446c80f52f1758ee178707a7bbb5472a1fc58",
+           "819162ace7c4b05dbb577164d9b6bde1caae29513622508d2a6a88b22fc1fa6f")
+
+
+@pytest.mark.parametrize("c, want", zip(CONFIGS, REPORTS))
+def test_classification_reports_keep_their_bits(c, want):
+    reports = []
+    for x1, x2, a in corpus(c):
+        _, rep = classify_or_error(x1, x2, a, c)
+        reports.append(rep if isinstance(rep, str) else
+                       [float(rep.residual).hex(), list(rep.face_on_chain), rep.is_c_plane,
+                        rep.is_r_plane, rep.in_real_slice, rep.in_singular_set, rep.det_sign])
+    assert digest(reports) == want
+
+
+def lifts_corpus():
+    """(m, n): random_moduli_point draws at n = 2 and 3, and chain points at n = 2 and 3."""
+    rng = np.random.default_rng(1818)
+    ms = [random_moduli_point(rng) for _ in range(120)]
+    ms += [random_chain_moduli(rng, sign) for sign in (1.0, -1.0) for _ in range(15)]
+    return [(m, n) for m in ms for n in (2, 3)]
+
+
+# sha256 of the hex bits of every coordinate of every lift
+LIFTS = "83c9f4ed4027a41f2cf47263c5d07a62b9b6007e4961aad0dbabdc9c91ea0514"
+
+
+def test_reconstructed_lifts_keep_their_bits():
+    bits = [[hex_bits(v) for P in reconstruct(m, n) for v in P.values]
+            for m, n in lifts_corpus()]
+    assert len(bits) == 300
+    assert digest(bits) == LIFTS
+
+
+def test_reconstruct_holds_x1_and_x2_to_its_own_config():
+    m = ModuliPoint(1e-10, 1, 0, ZERO_ABS)  # F = -4e-10: realized in dimension 3
+    assert len(reconstruct(m, 3, ZERO_ABS)) == 4
+    with pytest.raises(ZeroCrossRatio):  # |X1| <= abs_tol = 1e-9
+        reconstruct(m, 3)
+
+
+@pytest.mark.parametrize("x2", [1e-170, 1e-310, 1e-155j])
+def test_an_underflowing_x2_squared_is_an_underflow_error(x2):
+    m = ModuliPoint(1, x2, 0, ZERO_ABS)
+    message = rf"^\|X2\| = {re.escape(repr(abs(x2)))}: \|X2\|\^2 lies below the normal float"
+    with pytest.raises(UnderflowError, match=message):
+        classify(m, ZERO_ABS)
+    with pytest.raises(UnderflowError, match=message):
+        reconstruct(m, 3, ZERO_ABS)
+
+
+def test_the_smallest_normal_x2_squared_still_classifies():
+    x2 = 1.5e-154  # |X2|^2 = 2.25e-308, just above the smallest normal float
+    m = ModuliPoint(2, x2, 0, ZERO_ABS)  # F = 1 - 8 X2 + X2^2
+    assert classify(m, ZERO_ABS).det_sign == "positive"
+
+
+def test_the_cli_reports_an_underflowing_x2_squared_as_malformed_input(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": 3, "moduli": {"x1": [1, 0], "x2": [1e-170, 0], "a": 0}}))
+    assert main(["--tol", "1e-320", "reconstruct", "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "malformed-input",
+        "detail": "|X2| = 1e-170: |X2|^2 lies below the normal float range"}
