@@ -29,8 +29,8 @@ anti-holomorphic one precisely when one is (conj X1, conj X2, -A) of
 the other.
 
 Every value here is read off one Gram matrix: the rows of
-``points._points_rows`` of points or of ``gram._gram`` of lifts, or,
-for the face determinants, a normal form's free entries g13, g14, g24.
+``points._points_rows`` of points or of ``gram._gram`` of lifts, or a
+normal form's free entries g13, g14, g24; F is read off (X1, X2, A).
 Each formula (cross-ratio, Cartan, F, face determinants) has one
 definition.  A product is taken as it reads while its modulus lies in
 [2^-500, 2^500], and otherwise on its factors scaled exactly by powers
@@ -44,10 +44,10 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import (CartanOutOfRange, DegenerateEntry, InvalidFace, InvalidParameter,
-                     NotNormalForm, ZeroCrossRatio)
+                     NotNormalForm, UnderflowError, ZeroCrossRatio)
 from .numeric import (_HI, _LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
                       resolve)
-from .points import _json_complex, _json_field, _json_number, _points_rows
+from .points import _TINY, _json_complex, _json_field, _json_number, _points_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -209,9 +209,7 @@ class CrossRatioTriple(Frozen):
         return _close(c.tol(scale), self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
 
     def to_json(self) -> dict:
-        return {"x1": [self.x1.real, self.x1.imag],
-                "x2": [self.x2.real, self.x2.imag],
-                "x3": [self.x3.real, self.x3.imag]}
+        return {name: [v.real, v.imag] for name, v in zip(self._fields, self._key(self))}
 
     @classmethod
     def from_json(cls, obj: dict, path: str = "cross_ratios") -> "CrossRatioTriple":
@@ -270,9 +268,7 @@ class NormalizedGram(Frozen):
                       self.g24 - other.g24)
 
     def to_json(self) -> dict:
-        return {"g13": [self.g13.real, self.g13.imag],
-                "g14": [self.g14.real, self.g14.imag],
-                "g24": [self.g24.real, self.g24.imag]}
+        return {name: [v.real, v.imag] for name, v in zip(self._fields, self._key(self))}
 
     @classmethod
     def from_json(cls, obj: dict, cfg: NumericConfig | None = None,
@@ -310,27 +306,43 @@ def moduli_from_gram(G: NormalizedGram, cfg: NumericConfig | None = None) -> Mod
 
 def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
     """Rebuild the Gram normal form from (X1, X2, A), with m's config."""
-    return _normal_form(m.x1, m.x2, m.cartan, m.cfg)
+    return NormalizedGram(*_dictionary(m.x1, m.x2, m.cartan), m.cfg)
 
 
-def _normal_form(x1: complex, x2: complex, a: float, cfg: NumericConfig | None) -> NormalizedGram:
-    """The dictionary's image g13 = -e^{-iA}, g14 = 1/conj(X2), g24 = -(conj X1/conj X2) e^{iA}."""
+def _dictionary(x1: complex, x2: complex, a: float) -> tuple:
+    """Unchecked free entries g13 = -e^{-iA}, g14 = 1/conj(X2), g24 = -(conj X1/conj X2) e^{iA}."""
     g13 = -cmath.exp(-1j * a)
     g14 = 1.0 / x2.conjugate()
     g24 = -(x1.conjugate() / x2.conjugate()) * cmath.exp(1j * a)
-    return NormalizedGram(g13, g14, g24, cfg)
+    return g13, g14, g24
 
 
-def _defining_function(x1: complex, x2: complex, a: float) -> float:
-    """F(X1, X2, A) = -2 Re(X1 + X2) - 2 Re(X1 conj(X2) e^{-2iA}) + |X1|^2 + |X2|^2 + 1."""
-    return (-2.0 * (x1 + x2).real
-            - 2.0 * (x1 * x2.conjugate() * cmath.exp(-2j * a)).real
-            + abs(x1) ** 2 + abs(x2) ** 2 + 1.0)
+def _residual(x1: complex, x2: complex, a: float) -> tuple:
+    """F(X1, X2, A) and its scale 1 + |X1|^2 + |X2|^2; OverflowError naming |X1| and |X2| if
+    either is not finite."""
+    try:
+        s1, s2 = abs(x1) ** 2, abs(x2) ** 2
+    except OverflowError:  # a square beyond the float range
+        s1 = s2 = math.inf
+    F = (-2.0 * (x1 + x2).real - 2.0 * (x1 * x2.conjugate() * cmath.exp(-2j * a)).real
+         + s1 + s2 + 1.0)
+    scale = 1.0 + s1 + s2
+    if math.isfinite(F) and math.isfinite(scale):
+        return F, scale
+    raise OverflowError(f"F leaves the float range at |X1| = {abs(x1)!r}, |X2| = {abs(x2)!r}")
+
+
+def _x2_squared(r2: float) -> float:
+    """|X2|^2 of |X2| = r2, a divisor of the determinants; UnderflowError below the normal range."""
+    x2_sq = r2 ** 2
+    if x2_sq < _TINY:
+        raise UnderflowError(f"|X2| = {r2!r}: |X2|^2 lies below the normal float range")
+    return x2_sq
 
 
 def det_from_moduli(m: ModuliPoint) -> float:
     """Determinant of the Gram normal form, in moduli coordinates: F / |X2|^2."""
-    return _defining_function(m.x1, m.x2, m.cartan) / abs(m.x2) ** 2
+    return _residual(m.x1, m.x2, m.cartan)[0] / _x2_squared(abs(m.x2))
 
 
 def det_gram(G: NormalizedGram) -> float:
@@ -365,10 +377,8 @@ def det_face(G: NormalizedGram, face) -> float:
 
 
 def face_dets_from_moduli(m: ModuliPoint) -> tuple:
-    """The four face determinants in moduli coordinates.
-
-    Order matches ``gram.FACES``.
-    """
+    """The four face determinants in moduli coordinates, in the order of ``FACES``."""
+    _x2_squared(min(abs(m.x2), 1.0))  # the underflow rule: a |X2| >= 1 does not underflow
     G = gram_from_moduli(m)
     return _face_dets(G.g13, G.g14, G.g24)
 

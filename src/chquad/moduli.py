@@ -13,7 +13,9 @@ defining function
 through F = 0 for quadruples in dimension 2 and F <= 0 in dimension
 n >= 3, subject to -pi/2 <= A <= pi/2 and Re(X1 e^{-iA}) >= 0.  The
 inequality is an equality exactly when the quadruple fits inside the
-boundary of a complex hyperbolic 2-subspace.
+boundary of a complex hyperbolic 2-subspace.  Every reader here takes F
+and its scale 1 + |X1|^2 + |X2|^2 from ``invariants._residual``, which
+raises an OverflowError naming |X1| and |X2| when either is not finite.
 
 ``reconstruct`` inverts the coordinates explicitly: it produces four
 null lifts whose Gram normal form realizes the given (X1, X2, A).
@@ -24,12 +26,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated,
-                     UnderflowError)
-from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _defining_function, _face_dets,
-                         _moduli, _normal_form, _quadruple_gram, gram_from_moduli)
+from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
+from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _dictionary, _face_dets, _moduli,
+                         _quadruple_gram, _residual, _x2_squared)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
-from .points import _TINY
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
@@ -43,26 +43,17 @@ def moduli_residual(m: ModuliPoint) -> float:
     Vanishes for every quadruple in dimension 2; is <= 0 in general.
     Equals |X2|^2 times the Gram normal-form determinant.
     """
-    return _defining_function(m.x1, m.x2, m.cartan)
+    return _residual(m.x1, m.x2, m.cartan)[0]
 
 
 def residual_scale(m: ModuliPoint) -> float:
-    """Natural magnitude of F at m, used to scale tolerance checks."""
-    return 1.0 + abs(m.x1) ** 2 + abs(m.x2) ** 2
+    """Natural magnitude 1 + |X1|^2 + |X2|^2 of F at m, used to scale tolerance checks."""
+    return _residual(m.x1, m.x2, m.cartan)[1]
 
 
 def real_slice_residual(x1: float, x2: float, a: float) -> float:
     """F restricted to real X1, X2: the conic family of the real slice."""
-    return _defining_function(x1, x2, a)
-
-
-def _x2_squared(r2: float) -> float:
-    """|X2|^2 of |X2| = r2, which classify and reconstruct divide by; UnderflowError below
-    the normal float range."""
-    x2_sq = r2 ** 2
-    if x2_sq < _TINY:
-        raise UnderflowError(f"|X2| = {r2!r}: |X2|^2 lies below the normal float range")
-    return x2_sq
+    return _residual(x1, x2, a)[0]
 
 
 def _positivity(m: ModuliPoint) -> float:
@@ -86,10 +77,8 @@ def in_moduli_space(m: ModuliPoint, n: int, cfg: NumericConfig | None = None) ->
         return False
     if _positivity(m) < -c.tol(abs(m.x1)):
         return False
-    F = moduli_residual(m)
-    if n == 2:
-        return abs(F) <= c.tol(residual_scale(m))
-    return F <= c.tol(residual_scale(m))
+    F, scale = _residual(m.x1, m.x2, m.cartan)
+    return (abs(F) if n == 2 else F) <= c.tol(scale)
 
 
 def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
@@ -97,8 +86,8 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
 
     The lifts are P1 = (0,...,0,1), P2 = (1,0,...,0),
     P3 = (z1, z, 1) and P4 = (w1, w, w_last) with z, w in C^{n-1}.
-    The anchor entries come from the Gram normal form of (X1, X2, A),
-    A clamped to [-pi/2, pi/2] and checked with cfg:
+    The anchor entries are the normal form's free entries for
+    (X1, X2, A), A clamped to [-pi/2, pi/2]:
     z1 = conj(g13), w1 = conj(g14), w_last = conj(g24).  Nullity of P3
     and P4 pins |z|^2 = -2 Re(g13) and |w|^2 = -2 Re(g24 conj(g14)),
     and the unit entry g34 = 1 demands <z, w> = R with
@@ -120,10 +109,10 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
 
     _check_nonzero(m.x1, m.x2, c)  # cfg's guard, which may be stricter than m's own
     x2_sq = _x2_squared(abs(m.x2))
-    G = _normal_form(m.x1, m.x2, min(max(m.cartan, -HALF_PI), HALF_PI), c)
-    z1, w1, w_last = G.g13.conjugate(), G.g14.conjugate(), G.g24.conjugate()
+    g13, g14, g24 = _dictionary(m.x1, m.x2, min(max(m.cartan, -HALF_PI), HALF_PI))
+    z1, w1, w_last = g13.conjugate(), g14.conjugate(), g24.conjugate()
 
-    d123, d124 = _face_dets(G.g13, G.g14, G.g24)[:2]
+    d123, d124 = _face_dets(g13, g14, g24)[:2]
     zz, ww = -d123, -d124
     ww_slack = 2.0 * c.tol(abs(m.x1)) / x2_sq + c.abs_tol
     if zz < 0.0 or ww < -ww_slack:
@@ -180,15 +169,9 @@ class ClassificationReport(Frozen):
         _setattr(self, "det_sign", det_sign)
 
     def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "face_on_chain": list(self.face_on_chain),
-            "is_c_plane": self.is_c_plane,
-            "is_r_plane": self.is_r_plane,
-            "in_real_slice": self.in_real_slice,
-            "in_singular_set": self.in_singular_set,
-            "det_sign": self.det_sign,
-        }
+        out = dict(zip(self._fields, self._key(self)))
+        out["face_on_chain"] = list(self.face_on_chain)
+        return out
 
 
 def classify(m: ModuliPoint, cfg: NumericConfig | None = None) -> ClassificationReport:
@@ -205,12 +188,11 @@ def classify(m: ModuliPoint, cfg: NumericConfig | None = None) -> Classification
     tol = resolve(cfg).tol
     x1, x2, a = m.x1, m.x2, m.cartan
     r1, r2 = abs(x1), abs(x2)
-    F = _defining_function(x1, x2, a)
-    on_shell = abs(F) <= tol(1.0 + r1 ** 2 + r2 ** 2)
+    F, scale = _residual(x1, x2, a)
+    on_shell = abs(F) <= tol(scale)
     w = 2.0 / _x2_squared(r2)
-    G = gram_from_moduli(m)
-    d123, d124, d134, d234 = _face_dets(G.g13, G.g14, G.g24)
-    # face determinant = -2 q (faces 2-4: -2 q / |X2|^2) for a q held to tol(scale)
+    d123, d124, d134, d234 = _face_dets(*_dictionary(x1, x2, a))
+    # face determinant = -2 q (faces 2-4: -2 q / |X2|^2) for a q held to tol of its own size
     unit = tol(1.0)
     faces = (abs(d123) <= 2.0 * unit, abs(d124) <= w * tol(r1), abs(d134) <= w * tol(r2),
              abs(d234) <= w * tol(abs(x1 * x2)))
@@ -233,7 +215,8 @@ def positivity_check(m: ModuliPoint, cfg: NumericConfig | None = None) -> bool:
     Always true there; exposed as a regression check.
     """
     c = resolve(cfg)
-    if abs(moduli_residual(m)) > c.tol(residual_scale(m)):
+    F, scale = _residual(m.x1, m.x2, m.cartan)
+    if abs(F) > c.tol(scale):
         raise PreconditionViolated("point is not on the F = 0 locus")
     if abs(m.cartan) >= HALF_PI - c.tol(1.0):
         raise PreconditionViolated("positivity check requires |A| < pi/2")

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
 from .hermitian import Isometry, signature_basis
-from .invariants import HALF_PI, ModuliPoint
-from .moduli import moduli_coordinates, moduli_residual, residual_scale
+from .invariants import HALF_PI, ModuliPoint, _residual
+from .moduli import moduli_coordinates
 from .numeric import NumericConfig
 from .points import BoundaryPoint
 
@@ -185,7 +185,8 @@ def random_moduli_point(rng) -> ModuliPoint:
         if r <= 1e-6:
             continue
         m = ModuliPoint(x1, r * cmath.exp(1j * phi), a)
-        if abs(moduli_residual(m)) <= 1e-10 * residual_scale(m):
+        F, scale = _residual(m.x1, m.x2, m.cartan)
+        if abs(F) <= 1e-10 * scale:
             return m
     raise ResamplingExhausted("could not land on the moduli variety")
 

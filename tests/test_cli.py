@@ -253,6 +253,17 @@ def test_overflow_exits_two(tmp_path, capsys):
     assert strict_json(out)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("command", ["check-moduli", "reconstruct"])
+@pytest.mark.parametrize("x1, x2, detail", [
+    (1e200, 1, "F leaves the float range at |X1| = 1e+200, |X2| = 1.0"),
+    (1.3e154, 1.3e154, "F leaves the float range at |X1| = 1.3e+154, |X2| = 1.3e+154")])
+def test_an_overflowing_f_exits_two_naming_x1_and_x2(tmp_path, capsys, command, x1, x2, detail):
+    path = write(tmp_path, "m.json", {"n": 3, "moduli": {"x1": [x1, 0], "x2": [x2, 0], "a": 0}})
+    code, out = run(capsys, command, "--input", path)
+    assert code == 2
+    assert strict_json(out) == {"error": "malformed-input", "detail": detail}
+
+
 def test_invariants_reads_one_gram_matrix_per_input(tmp_path, capsys, monkeypatch):
     import chquad.invariants
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,3 +275,42 @@ def test_dimension_dichotomy():
     for _ in range(100):
         m = moduli_coordinates(random_quadruple(3, "subspace2", rng))
         assert abs(moduli_residual(m)) <= 1e-8 * residual_scale(m)
+
+
+# F's squares overflow at |X1| = 1e200; at X1 = X2 = 1.3e154 its middle term does, where F
+# read -inf and its scale inf, so that every verdict held F to an infinite tolerance
+OVERFLOWING_F = [(1e200, 1.0, "1e+200", "1.0"), (1.3e154, 1.3e154, "1.3e+154", "1.3e+154")]
+READERS_OF_F = {
+    "moduli_residual": moduli_residual,
+    "residual_scale": residual_scale,
+    "real_slice_residual": lambda m: real_slice_residual(m.x1.real, m.x2.real, m.cartan),
+    "det_from_moduli": det_from_moduli,
+    "in_moduli_space_2": lambda m: in_moduli_space(m, 2),
+    "in_moduli_space_3": lambda m: in_moduli_space(m, 3),
+    "classify": classify,
+    "positivity_check": positivity_check,
+    "reconstruct": lambda m: reconstruct(m, 3),
+}
+
+
+@pytest.mark.parametrize("x1, x2, r1, r2", OVERFLOWING_F)
+@pytest.mark.parametrize("reader", list(READERS_OF_F))
+def test_an_overflowing_f_is_an_overflow_error_naming_x1_and_x2(reader, x1, x2, r1, r2):
+    message = f"F leaves the float range at |X1| = {r1}, |X2| = {r2}"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        READERS_OF_F[reader](ModuliPoint(x1, x2, 0.0))
+
+
+def test_random_moduli_point_accepts_a_draw_by_one_reading_of_f(monkeypatch):
+    import chquad.sampling
+
+    reader, calls = chquad.sampling._residual, []
+    monkeypatch.setattr(chquad.sampling, "_residual",
+                        lambda *args: calls.append(args) or reader(*args))
+    m = random_moduli_point(np.random.default_rng(41))
+    assert calls[-1] == (m.x1, m.x2, m.cartan)
+    F, scale = reader(*calls[-1])
+    assert abs(F) <= 1e-10 * scale
+    for args in calls[:-1]:  # each earlier candidate was off the locus
+        F, scale = reader(*args)
+        assert abs(F) > 1e-10 * scale

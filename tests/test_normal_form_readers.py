@@ -6,7 +6,9 @@ verdicts are checked against the triple products of the full rows of
 moduli and on points nudged across each threshold.  The reconstructed lifts and the
 classification reports are pinned bit for bit by digests recorded before the faces were
 read off the free entries (x86-64, glibc 2.36, numpy 2.4).  A |X2|^2 below the normal
-float range, which both functions divide by, raises UnderflowError.
+float range, which both functions divide by, raises UnderflowError, as it does in
+``det_from_moduli`` and ``face_dets_from_moduli``.  The other readers of F are pinned by
+digests too, recorded before they shared one reader of F and its scale.
 """
 
 import cmath
@@ -19,7 +21,9 @@ import numpy as np
 import pytest
 
 from chquad import (GeometryError, ModuliPoint, NumericConfig, UnderflowError, ZeroCrossRatio,
-                    classify, gram_from_moduli, moduli_coordinates, reconstruct)
+                    classify, det_from_moduli, face_dets_from_moduli, gram_from_moduli,
+                    in_moduli_space, moduli_coordinates, moduli_residual, positivity_check,
+                    reconstruct, residual_scale)
 from chquad.cli import main
 from chquad.gram import FACES
 from chquad.sampling import KINDS, random_chain_moduli, random_moduli_point, random_quadruple
@@ -129,6 +133,37 @@ def test_classification_reports_keep_their_bits(c, want):
     assert digest(reports) == want
 
 
+def f_readers(x1, x2, a, c) -> list:
+    """What each other reader of F gives at (x1, x2, a) under c: floats as hex, or the name
+    of the error it raises."""
+    readers = (moduli_residual, residual_scale, det_from_moduli,
+               lambda m: in_moduli_space(m, 2, c), lambda m: in_moduli_space(m, 3, c),
+               lambda m: positivity_check(m, c))
+    try:
+        m = ModuliPoint(x1, x2, a, c)
+    except GeometryError as e:
+        return [type(e).__name__]
+    out = []
+    for read in readers:
+        try:
+            value = read(m)
+            out.append(value.hex() if isinstance(value, float) else value)
+        except (GeometryError, ArithmeticError) as e:
+            out.append(type(e).__name__)
+    return out
+
+
+# sha256 of f_readers over corpus(c), one per config of CONFIGS
+F_READERS = ("19c77ca3bf5142e544c7db5534fec0ec32852ff2122c014f75e71a157ab2311d",
+             "662f5e301a13a5042252f6213aed78e2b659526fe34197276445c8848799d44f",
+             "6efe8856adb78dd7ffc584e80108bf053ee48c829ecb20edd1d78948cdfec5c9")
+
+
+@pytest.mark.parametrize("c, want", zip(CONFIGS, F_READERS))
+def test_the_other_readers_of_f_keep_their_bits(c, want):
+    assert digest([f_readers(x1, x2, a, c) for x1, x2, a in corpus(c)]) == want
+
+
 def lifts_corpus():
     """(m, n): random_moduli_point draws at n = 2 and 3, and chain points at n = 2 and 3."""
     rng = np.random.default_rng(1818)
@@ -155,7 +190,7 @@ def test_reconstruct_holds_x1_and_x2_to_its_own_config():
         reconstruct(m, 3)
 
 
-@pytest.mark.parametrize("x2", [1e-170, 1e-310, 1e-155j])
+@pytest.mark.parametrize("x2", [1e-160, 1e-170, 1e-310, 1e-155j])
 def test_an_underflowing_x2_squared_is_an_underflow_error(x2):
     m = ModuliPoint(1, x2, 0, ZERO_ABS)
     message = rf"^\|X2\| = {re.escape(repr(abs(x2)))}: \|X2\|\^2 lies below the normal float"
@@ -163,6 +198,15 @@ def test_an_underflowing_x2_squared_is_an_underflow_error(x2):
         classify(m, ZERO_ABS)
     with pytest.raises(UnderflowError, match=message):
         reconstruct(m, 3, ZERO_ABS)
+    with pytest.raises(UnderflowError, match=message):
+        det_from_moduli(m)
+    with pytest.raises(UnderflowError, match=message):
+        face_dets_from_moduli(m)
+
+
+def test_a_large_x2_gives_face_determinants():
+    # the underflow rule squares min(|X2|, 1): |X2|^2 = 1e400 itself would overflow
+    assert all(map(math.isfinite, face_dets_from_moduli(ModuliPoint(1, 1e200, 0))))
 
 
 def test_the_smallest_normal_x2_squared_still_classifies():
