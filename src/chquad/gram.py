@@ -9,9 +9,12 @@ Gram matrices come from two kernels, each returning checked rows.
 ``_gram`` takes the products of any null lifts (``HermitianVector``s),
 checks each lift's nullity and holds each pair to tol(s_i s_j), s_i the
 scale of lift i.  ``points._points_rows`` builds no lift: it evaluates
-each entry of the standard lifts' matrix in closed form.  The
-invariants read the bare rows; ``gram_of`` and ``gram_of_points`` wrap
-them in a ``GramMatrix`` without deciding coincidence again.
+each entry of the standard lifts' matrix in closed form.  Both check
+the entries above the diagonal, in row order, and return through one
+row assembly, ``points._hermitian_rows``, which adds the zero diagonal
+and the conjugates.  The invariants read the bare rows; ``gram_of`` and
+``gram_of_points`` wrap them in a ``GramMatrix`` without deciding
+coincidence again.
 
 This module is the top of the lift side.  ``FACES``, ``NormalizedGram``,
 ``det_gram``, ``det_face`` and ``congruent_*`` are defined in
@@ -29,7 +32,8 @@ from .hermitian import _complex_values, _form, _is_null, _numpy_shape, _read_onl
 from .invariants import (FACES, NormalizedGram, _moduli, congruent_antiholomorphic,
                          congruent_holomorphic, det_face, det_gram, gram_from_moduli)
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
-from .points import _TINY, _check_count, _json_complex, _json_list, _points_rows, _underflow
+from .points import (_TINY, _check_count, _hermitian_rows, _json_complex, _json_list,
+                     _points_rows, _underflow)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,11 +144,11 @@ def _gram(lifts, c: NumericConfig) -> tuple:
         if not _is_null(z, s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
     m = len(lifts)
-    rows = [[0j] * m for _ in range(m)]
-    mags = []
+    upper, mags = [], []
     for i in range(m):
         for j in range(i + 1, m):
             g = _form(coords[i], coords[j])
+            upper.append(g)
             try:
                 mags.append(abs(g))
             except OverflowError:  # |g| of finite parts beyond the float range
@@ -155,11 +159,9 @@ def _gram(lifts, c: NumericConfig) -> tuple:
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             if mags[-1] < _TINY:
                 raise _underflow(i, j, mags[-1])
-            rows[i][j] = g
-            rows[j][i] = g.conjugate()
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
-    return tuple(map(tuple, rows))
+    return _hermitian_rows(upper)
 
 
 def normalize(G: GramMatrix, cfg: NumericConfig | None = None) -> NormalizedGram:

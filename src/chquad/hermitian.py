@@ -81,7 +81,12 @@ class HermitianVector(Frozen, compare=False):
     def __init__(self, n: int, values: tuple):
         if n < 1:
             raise DimensionMismatch(f"n must be >= 1, got {n}")
-        checked = _complex_values(values, (n + 1,))
+        try:  # a list or tuple of numbers, most often: no numpy, no shape to name
+            checked = tuple(map(complex, values)) if values.__class__ in (list, tuple) else None
+        except TypeError:  # a nested entry, or one that is not a number
+            checked = None
+        if checked is None or len(checked) != n + 1:  # the general path names a wrong shape
+            checked = _complex_values(values, (n + 1,))
         if checked is None:
             raise DimensionMismatch(f"expected {n + 1} coordinates for n={n}, "
                                     f"got shape {_numpy_shape(values)}")
@@ -260,7 +265,8 @@ def _point(z, cfg: NumericConfig | None) -> BoundaryPoint:
     last = z[-1]
     if abs(last) <= c.tol(s):
         return BoundaryPoint.infinity()
-    return BoundaryPoint.finite([v / last / _SQRT2 for v in z[1:-1]], (z[0] / last).imag)
+    # z holds Python complex numbers: the quotients need no conversion by finite()
+    return BoundaryPoint(False, tuple([v / last / _SQRT2 for v in z[1:-1]]), (z[0] / last).imag)
 
 
 def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:
@@ -281,7 +287,7 @@ class Isometry(Frozen, compare=False):
     def __init__(self, n: int, matrix: np.ndarray, cfg: NumericConfig | None = None):
         import numpy as np
 
-        mat = np.array(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex, order="C")  # view(float) needs C order
         if mat.shape != (n + 1, n + 1):
             raise DimensionMismatch(
                 f"expected a {n + 1}x{n + 1} matrix, got {mat.shape}"

@@ -14,12 +14,11 @@ import it and nothing of the lift side (``hermitian``, ``gram``) above.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import CoincidentPoints, DimensionMismatch, InvalidParameter, UnderflowError
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
-_TINY = sys.float_info.min  # the smallest normal float
+_TINY = 2.0 ** -1022  # the smallest normal float
 
 
 def _json_field(obj, key: str, path: str):
@@ -109,18 +108,27 @@ class BoundaryPoint(Frozen):
 
 def infer_dimension(points) -> int:
     """Common ambient dimension of a tuple of boundary points."""
-    n = None
+    return _reads(points)[1] // 2 + 1
+
+
+def _reads(points) -> tuple:
+    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z|), and the lists' common length."""
+    reads, width = [], None
     for p in points:
         if p.at_infinity:
+            reads.append(None)
             continue
-        k = len(p.z) + 1
-        if n is None:
-            n = k
-        elif n != k:
+        flat = []
+        for v in p.z:
+            flat += v.real, v.imag
+        if width is None:
+            width = len(flat)
+        elif width != len(flat):
             raise DimensionMismatch("points live in different dimensions")
-    if n is None:
+        reads.append((flat, p.t, math.hypot(*flat)))
+    if width is None:
         raise CoincidentPoints("all points are at infinity")
-    return n
+    return reads, width
 
 
 def _check_count(m: int):
@@ -147,26 +155,11 @@ def _points_rows(points, c: NumericConfig) -> tuple:
     subnormal raise UnderflowError.  Errors, in order: DimensionMismatch, all
     points at infinity, the count, then each pair in turn.
     """
-    reads = []
-    width = None
-    for p in points:
-        if p.at_infinity:
-            reads.append(None)
-            continue
-        flat = []
-        for v in p.z:
-            flat += v.real, v.imag
-        if width is None:
-            width = len(flat)
-        elif width != len(flat):
-            raise DimensionMismatch("points live in different dimensions")
-        reads.append((flat, p.t, math.hypot(*flat)))
-    if width is None:
-        raise CoincidentPoints("all points are at infinity")
+    reads, width = _reads(points)
     m = len(points)
     _check_count(m)
-    a, r = c.abs_tol, c.rel_tol
-    rows = [[0j] * m for _ in range(m)]
+    a, r, reals = c.abs_tol, c.rel_tol, range(0, width, 2)  # where flat holds real parts
+    upper = []
     for i in range(m - 1):
         u = reads[i]
         for j in range(i + 1, m):
@@ -179,7 +172,7 @@ def _points_rows(points, c: NumericConfig) -> tuple:
                 pz, pt, _ = u
                 qz, qt, norm = v
                 dz2 = im = 0.0
-                for k in range(0, width, 2):  # the real and imaginary parts of one coordinate
+                for k in reals:  # one coordinate's real and imaginary parts
                     qr, qi = qz[k], qz[k + 1]
                     dr, di = pz[k] - qr, pz[k + 1] - qi
                     dz2 += dr * dr + di * di
@@ -197,9 +190,18 @@ def _points_rows(points, c: NumericConfig) -> tuple:
                     raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
                 if size < _TINY:
                     raise _underflow(i, j, size)
-            rows[i][j] = g
-            rows[j][i] = g.conjugate()
-    return tuple(map(tuple, rows))
+            upper.append(g)
+    return _hermitian_rows(upper)
+
+
+def _hermitian_rows(g) -> tuple:
+    """Rows of the zero-diagonal Hermitian matrix above whose diagonal lie g12, g13, ...."""
+    if len(g) == 3:
+        a, b, c = g
+        return (0j, a, b), (a.conjugate(), 0j, c), (b.conjugate(), c.conjugate(), 0j)
+    a, b, c, d, e, f = g
+    return ((0j, a, b, c), (a.conjugate(), 0j, d, e), (b.conjugate(), d.conjugate(), 0j, f),
+            (c.conjugate(), e.conjugate(), f.conjugate(), 0j))
 
 
 def _out_of_range(p, q, i: int, j: int) -> Exception:

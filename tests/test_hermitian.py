@@ -9,6 +9,7 @@ from chquad import (
     DimensionMismatch,
     HermitianVector,
     Isometry,
+    ModuliPoint,
     NotIsometry,
     NotNull,
     ZeroVector,
@@ -17,11 +18,12 @@ from chquad import (
     gram_of,
     moduli_coordinates,
     point_from_lift,
+    reconstruct,
     signature_basis,
     standard_lift,
 )
 from chquad.hermitian import _form
-from chquad.sampling import random_boundary_point, random_isometry
+from chquad.sampling import KINDS, random_boundary_point, random_isometry, random_quadruple
 
 
 def vec(n, *coords):
@@ -201,6 +203,84 @@ def test_apply_isometry():
     h = random_isometry(2, rng)
     P = standard_lift(random_boundary_point(2, rng), 2)
     assert act(h, P).is_null()
+
+
+def point_bits(p):
+    """A point's fields, each float as hex so that -0.0 and 0.0 differ, with their types."""
+    if p.at_infinity:
+        return "infinity"
+    return type(p.z), [(type(v), v.real.hex(), v.imag.hex()) for v in p.z], type(p.t), p.t.hex()
+
+
+def finite_of_quotients(z) -> BoundaryPoint:
+    """BoundaryPoint.finite of a lift's quotients: z_k / z_{n+1} / sqrt(2) and Im z_1 / z_{n+1}."""
+    last = z[-1]
+    return BoundaryPoint.finite([v / last / math.sqrt(2.0) for v in z[1:-1]], (z[0] / last).imag)
+
+
+def null_lifts():
+    """reconstruct's lifts for n = 2..4, whose second is (1, 0, ..., 0), and rescaled standard
+    lifts of finite points, some with signed zeros, for n = 1..4."""
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        for kind in KINDS:
+            yield from reconstruct(moduli_coordinates(random_quadruple(n, kind, rng)), n)
+    for n in (2, 3):  # the zero-coordinate branch
+        yield from reconstruct(ModuliPoint(0.5, 0.5, -math.pi / 2), n)
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            p = random_boundary_point(n, rng)
+            if not p.at_infinity:
+                factor = complex(*rng.standard_normal(2))
+                yield from (standard_lift(p, n), standard_lift(p, n).scaled(factor))
+    yield from (vec(1, 0, -1), vec(1, complex(0.0, -0.0), complex(-2.0, 0.0)),
+                vec(2, 0j, complex(-0.0, 0.0), 1j), vec(2, complex(-0.0, -0.0), 0j, -1j),
+                standard_lift(BoundaryPoint.finite([complex(-0.0, 0.0)], -0.0), 2).scaled(-1))
+
+
+def test_point_from_lift_builds_the_point_finite_builds():
+    lifts = list(null_lifts())
+    assert len(lifts) > 300
+    for Z in lifts:
+        want = BoundaryPoint.infinity() if Z.values[-1] == 0 else finite_of_quotients(Z.values)
+        assert point_bits(point_from_lift(Z)) == point_bits(want), Z
+
+
+def test_apply_isometry_point_builds_the_point_finite_builds():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        g = random_isometry(n, rng)
+        for _ in range(30):
+            p = random_boundary_point(n, rng)
+            moved = (g.matrix @ standard_lift(p, n).coords).tolist()
+            assert point_bits(apply_isometry_point(g, p)) == point_bits(finite_of_quotients(moved))
+
+
+@pytest.mark.parametrize("Z", [
+    vec(2, 5, 0, 0), vec(2, -1j, 0, 1e-12), vec(3, 1, 0, 0, 0),
+    standard_lift(BoundaryPoint.infinity(), 3).scaled(-0.4 + 2j),
+])
+def test_a_lift_of_infinity_still_gives_the_point_at_infinity(Z):
+    assert point_from_lift(Z) == BoundaryPoint.infinity()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isometry_accepts_a_matrix_in_any_memory_order(n):
+    rng = np.random.default_rng(14)
+    g = random_isometry(n, rng)
+    points = [random_boundary_point(n, rng) for _ in range(8)] + [BoundaryPoint.infinity()]
+    for matrix in (np.asfortranarray(g.matrix), np.repeat(g.matrix, 2, axis=1)[:, ::2],
+                   np.repeat(g.matrix, 2, axis=0)[::2]):
+        assert not matrix.flags.c_contiguous
+        h = Isometry(n, matrix)
+        assert h.matrix.flags.c_contiguous
+        assert np.array_equal(h.matrix, g.matrix)
+        for p in points:
+            assert point_bits(apply_isometry_point(h, p)) == point_bits(apply_isometry_point(g, p))
+    e = Isometry(2, np.eye(3).T)
+    assert np.array_equal(e.matrix, np.eye(3))
+    p = BoundaryPoint.finite([1 - 2j], 0.5)
+    assert apply_isometry_point(e, p) == apply_isometry_point(Isometry(2, np.eye(3)), p) == p
 
 
 def test_isometry_rejects_non_preserving_matrix():
