@@ -145,8 +145,10 @@ def _cmd_reconstruct(args, cfg):
     m = ModuliPoint.from_json(_json_field(obj, "moduli", "input"), "moduli", cfg)
     lifts = reconstruct(m, n, cfg)
     points = [point_from_lift(P, cfg) for P in lifts]
-    return {**_quadruple_json(n, points), "moduli": m.to_json(),
-            "lifts": [P.to_json() for P in lifts]}
+    out = _quadruple_json(n, points)
+    out["moduli"] = m.to_json()
+    out["lifts"] = [P.to_json() for P in lifts]
+    return out
 
 
 def _cmd_check_moduli(args, cfg):

@@ -81,12 +81,7 @@ class HermitianVector(Frozen, compare=False):
     def __init__(self, n: int, values: tuple):
         if n < 1:
             raise DimensionMismatch(f"n must be >= 1, got {n}")
-        try:  # a list or tuple of numbers, most often: no numpy, no shape to name
-            checked = tuple(map(complex, values)) if values.__class__ in (list, tuple) else None
-        except TypeError:  # a nested entry, or one that is not a number
-            checked = None
-        if checked is None or len(checked) != n + 1:  # the general path names a wrong shape
-            checked = _complex_values(values, (n + 1,))
+        checked = _complex_values(values, (n + 1,))
         if checked is None:
             raise DimensionMismatch(f"expected {n + 1} coordinates for n={n}, "
                                     f"got shape {_numpy_shape(values)}")

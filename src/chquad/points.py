@@ -14,11 +14,12 @@ import it and nothing of the lift side (``hermitian``, ``gram``) above.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import CoincidentPoints, DimensionMismatch, InvalidParameter, UnderflowError
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
-_TINY = 2.0 ** -1022  # the smallest normal float
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _json_field(obj, key: str, path: str):
@@ -108,11 +109,11 @@ class BoundaryPoint(Frozen):
 
 def infer_dimension(points) -> int:
     """Common ambient dimension of a tuple of boundary points."""
-    return _reads(points)[1] // 2 + 1
+    return _reads(points, norms=False)[1] // 2 + 1
 
 
-def _reads(points) -> tuple:
-    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z|), and the lists' common length."""
+def _reads(points, norms: bool = True) -> tuple:
+    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z| or None); the lists' length."""
     reads, width = [], None
     for p in points:
         if p.at_infinity:
@@ -121,11 +122,10 @@ def _reads(points) -> tuple:
         flat = []
         for v in p.z:
             flat += v.real, v.imag
-        if width is None:
-            width = len(flat)
-        elif width != len(flat):
+        if width not in (None, len(flat)):
             raise DimensionMismatch("points live in different dimensions")
-        reads.append((flat, p.t, math.hypot(*flat)))
+        width = len(flat)
+        reads.append((flat, p.t, math.hypot(*flat) if norms else None))
     if width is None:
         raise CoincidentPoints("all points are at infinity")
     return reads, width
@@ -185,7 +185,7 @@ def _points_rows(points, c: NumericConfig) -> tuple:
                     size = math.inf
                 bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norm
                 if not size < math.inf > bound:  # also when either is NaN
-                    raise _out_of_range(points[i], points[j], i, j)
+                    raise _out_of_range(pz + qz + [pt, qt], i, j)
                 if size <= bound:
                     raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
                 if size < _TINY:
@@ -204,9 +204,8 @@ def _hermitian_rows(g) -> tuple:
             (c.conjugate(), e.conjugate(), f.conjugate(), 0j))
 
 
-def _out_of_range(p, q, i: int, j: int) -> Exception:
-    """The error of finite points i < j whose Gram entry or distinctness bound is not finite."""
-    parts = [x for v in p.z + q.z for x in (v.real, v.imag)] + [p.t, q.t]
+def _out_of_range(parts: list, i: int, j: int) -> Exception:
+    """The error of finite points i < j, read as parts, whose Gram entry or bound is not finite."""
     if all(map(math.isfinite, parts)):
         return OverflowError(f"<P{i + 1},P{j + 1}> overflows for coordinates of magnitude "
                              f"{max(map(abs, parts))}")
