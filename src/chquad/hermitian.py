@@ -28,7 +28,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatch, NotIsometry, NotNull, ZeroVector
+from .errors import DimensionMismatch, InvalidParameter, NotIsometry, NotNull, ZeroVector
 from .numeric import (_LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
                       resolve)
 from .points import BoundaryPoint, _json_complex, _json_field, _json_list, infer_dimension
@@ -39,10 +39,18 @@ if TYPE_CHECKING:
 _SQRT2 = math.sqrt(2.0)
 
 
+def _dimension(n) -> int:
+    """n as an int; a bool, which numpy would read as a mask, and a non-integral n are refused."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise InvalidParameter(f"n must be an integer, got {n!r}")
+    return n.__index__()
+
+
 def form_matrix(n: int) -> np.ndarray:
     """Matrix J of the form, so that <Z, W> = conj(W) . (J Z)."""
     import numpy as np
 
+    n = _dimension(n)
     J = np.zeros((n + 1, n + 1), dtype=complex)
     J[0, n] = 1.0
     J[n, 0] = 1.0
@@ -59,6 +67,7 @@ def signature_basis(n: int) -> np.ndarray:
     """
     import numpy as np
 
+    n = _dimension(n)
     C = np.zeros((n + 1, n + 1), dtype=complex)
     C[0, 0] = C[n, 0] = 1.0 / _SQRT2
     for i in range(1, n):
@@ -137,7 +146,7 @@ class HermitianVector(Frozen, compare=False):
 
 
 def _complex_row(values) -> tuple:
-    if isinstance(values, str):  # numpy reads a string as one scalar, not as its characters
+    if isinstance(values, (str, bytes, bytearray)):  # characters are not coordinates
         raise TypeError("expected a sequence of numbers")
     return tuple(map(complex, values))
 
@@ -282,20 +291,19 @@ class Isometry(Frozen, compare=False):
     def __init__(self, n: int, matrix: np.ndarray, cfg: NumericConfig | None = None):
         import numpy as np
 
+        n = _dimension(n)
         mat = np.array(matrix, dtype=complex, order="C")  # view(float) needs C order
         if mat.shape != (n + 1, n + 1):
-            raise DimensionMismatch(
-                f"expected a {n + 1}x{n + 1} matrix, got {mat.shape}"
-            )
-        big = float(np.max(np.abs(mat.view(float))))  # the largest real or imaginary part
+            raise DimensionMismatch(f"expected a {n + 1}x{n + 1} matrix, got {mat.shape}")
+        big = float(np.abs(mat.view(float)).max())  # the largest real or imaginary part
         if not math.isfinite(big):
             raise NotIsometry("matrix entries must be finite")
         if 4.0 * (n + 1) * big * big == math.inf:  # bounds the form check's products
             raise OverflowError(f"the form check overflows for entries of magnitude {big}")
         mat.setflags(write=False)
         J = form_matrix(n)
-        residual = np.max(np.abs(mat.conj().T @ J @ mat - J))
-        scale = (n + 1) * float(np.max(np.abs(mat))) ** 2
+        residual = np.abs(mat.conj().T @ J @ mat - J).max()
+        scale = (n + 1) * float(np.abs(mat).max()) ** 2
         if not residual <= resolve(cfg).tol(scale):  # a NaN residual fails too
             raise NotIsometry(f"matrix does not preserve the form (residual {residual:.3e})")
         _setattr(self, "n", n)
@@ -311,9 +319,7 @@ class Isometry(Frozen, compare=False):
 def apply_isometry_point(g: Isometry, p: BoundaryPoint,
                          cfg: NumericConfig | None = None) -> BoundaryPoint:
     """Move a boundary point: lift, act, dehomogenize."""
-    import numpy as np
-
-    return _point((g.matrix @ np.array(_lift(p, g.n))).tolist(), cfg)
+    return _point(g.matrix.dot(_lift(p, g.n)).tolist(), cfg)
 
 
 def standard_lifts(points) -> list:

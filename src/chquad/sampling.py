@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
-from .hermitian import Isometry, signature_basis
+from .hermitian import Isometry, _dimension
 from .invariants import HALF_PI, ModuliPoint, _residual
 from .moduli import moduli_coordinates
 from .numeric import NumericConfig
@@ -29,6 +30,7 @@ KINDS = ("generic", "c_plane", "r_plane", "subspace2")  # what random_quadruple 
 INFINITY_PROB = 1.0 / 16.0
 MAX_ATTEMPTS = 100
 MARGIN = 1e-3  # random_moduli_point keeps |A| below pi/2 - MARGIN
+_H = 1.0 / math.sqrt(2.0)  # signature_basis's entries, which mix coordinates 0 and n
 
 
 def _rng(seed) -> np.random.Generator:
@@ -51,41 +53,43 @@ def _uniform(gen: np.random.Generator, low: float, high: float) -> float:
 
 def random_boundary_point(n: int, rng) -> BoundaryPoint:
     """A random boundary point; lands at infinity with probability 1/16."""
+    n = _dimension(n)
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    gen = _rng(rng)
+    return _boundary_point(n, _rng(rng))
+
+
+def _boundary_point(n: int, gen: np.random.Generator) -> BoundaryPoint:
+    """random_boundary_point's draw, for an n already checked and a Generator."""
     if gen.random() < INFINITY_PROB:
         return BoundaryPoint.infinity()
-    # the real parts, the imaginary parts and t, in one draw
+    # the real parts, the imaginary parts and t, in one draw; tolist() gives Python floats
     x = gen.standard_normal(2 * n - 1).tolist()
-    return BoundaryPoint.finite(map(complex, x[:n - 1], x[n - 1:-1]), x[-1])
+    return BoundaryPoint(False, tuple(map(complex, x[:n - 1], x[n - 1:-1])), x[-1])
 
 
 def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):
     if kind == "generic":
-        return [random_boundary_point(n, gen) for _ in range(4)]
+        return [_boundary_point(n, gen) for _ in range(4)]
     if kind == "c_plane":
         # the vertical chain z = 0, optionally through infinity
-        zeros = [0.0] * (n - 1)
-        points = [BoundaryPoint.finite(zeros, float(t)) for t in gen.standard_normal(4)]
+        zeros = (0j,) * (n - 1)
+        points = [BoundaryPoint(False, zeros, t) for t in gen.standard_normal(4).tolist()]
         if gen.random() < 0.25:
             points[int(gen.integers(4))] = BoundaryPoint.infinity()
         return points
     if kind == "r_plane":
         # the standard R-circle: first horospherical coordinate real, t = 0
-        points = []
-        for x in gen.standard_normal(4):
-            z = [0.0] * (n - 1)
-            z[0] = float(x)
-            points.append(BoundaryPoint.finite(z, 0.0))
-        return points
+        pad = (0j,) * (n - 2)
+        return [BoundaryPoint(False, (complex(x),) + pad, 0.0)
+                for x in gen.standard_normal(4).tolist()]
     if kind == "subspace2":
         # CH^2 points padded with zeros: lifts in the span of the first, second and last axes
         pad = (0j,) * (n - 2)
         points = []
         for _ in range(4):
-            p = random_boundary_point(2, gen)
-            points.append(p if p.at_infinity else BoundaryPoint.finite(p.z + pad, p.t))
+            p = _boundary_point(2, gen)
+            points.append(p if p.at_infinity else BoundaryPoint(False, p.z + pad, p.t))
         return points
     raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
 
@@ -99,6 +103,7 @@ def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     """
     if kind not in KINDS:
         raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
+    n = _dimension(n)
     min_n = 1 if kind == "c_plane" else 2
     if n < min_n:
         raise InvalidParameter(f"kind {kind!r} needs n >= {min_n}, got {n}")
@@ -121,16 +126,16 @@ def random_isometry(n: int, rng) -> Isometry:
     vector is handled last.  Each candidate column takes one draw of
     2(n + 1) standard normals, the real parts then the imaginary parts;
     columns whose projected norm collapses are redrawn from the same
-    stream.  The projections run on Python complex numbers and one
-    matrix product assembles the result, which ``Isometry`` validates.
+    stream.  The projections run on Python complex numbers, and so does
+    the change back to the form's own basis, C U C* for C the
+    ``signature_basis``: C mixes only coordinates 0 and n.  ``Isometry``
+    validates the result.
     """
-    import numpy as np
-
+    n = _dimension(n)
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    gen = _rng(rng)
+    normal = _rng(rng).standard_normal
     d = [1.0] * n + [-1.0]
-    C = signature_basis(n)
     for _ in range(50):
         # (u, w): a unit column u of form norm eps and w_i = eps d_i conj(u_i),
         # so that the coefficient of the projection onto u is sum_i v_i w_i
@@ -138,13 +143,13 @@ def random_isometry(n: int, rng) -> Isometry:
         for k in range(n + 1):
             eps = d[k]
             for _ in range(50):
-                x = gen.standard_normal(2 * n + 2).tolist()
+                x = normal(2 * n + 2).tolist()
                 v = list(map(complex, x[:n + 1], x[n + 1:]))
                 for u, w in cols:
                     c = 0j
-                    for a, b in zip(v, w):
-                        c += a * b
-                    v = [a - c * b for a, b in zip(v, u)]
+                    for t in map(mul, v, w):
+                        c += t
+                    v = list(map(sub, v, map(c.__mul__, u)))
                 nrm = 0.0
                 for a, e in zip(v, d):
                     m = abs(a)
@@ -157,8 +162,12 @@ def random_isometry(n: int, rng) -> Isometry:
             else:
                 break
         if len(cols) == n + 1:
-            U = np.array([u for u, _ in cols]).T
-            return Isometry(n, C @ U @ C.conj().T)
+            # U C, row by row (U's columns are the u), then C (U C); C is real and symmetric
+            uc = [[_H * (r[0] + r[n]), *r[1:n], _H * (r[0] - r[n])]
+                  for r in zip(*[u for u, _ in cols])]
+            top, bottom = uc[0], uc[n]
+            return Isometry(n, [[_H * (a + b) for a, b in zip(top, bottom)], *uc[1:n],
+                                [_H * (a - b) for a, b in zip(top, bottom)]])
     raise DegenerateBasis("random basis kept collapsing; this should be unreachable")
 
 
@@ -170,18 +179,21 @@ def random_moduli_point(rng) -> ModuliPoint:
     root; redraws whenever no positive root exists.
     """
     gen = _rng(rng)
+    random, normal = gen.random, gen.standard_normal
+    low = -HALF_PI + MARGIN  # A and phi are drawn as _uniform draws them
+    span = (HALF_PI - MARGIN) - low
     for _ in range(1000):
-        x1 = complex(*gen.standard_normal(2).tolist())
+        x1 = complex(*normal(2).tolist())
         if abs(x1) < 0.05:
             continue
-        a = _uniform(gen, -HALF_PI + MARGIN, HALF_PI - MARGIN)
-        phi = _uniform(gen, -math.pi, math.pi)
+        a = low + span * random()
+        phi = -math.pi + 2.0 * math.pi * random()
         b = math.cos(phi) + (x1 * cmath.exp(-1j * (phi + 2.0 * a))).real
         disc = b * b - abs(x1 - 1.0) ** 2
         if b <= 1e-6 or disc < 0.0:
             continue
         root = math.sqrt(disc)
-        r = b - root if (gen.random() < 0.5 and b - root > 1e-6) else b + root
+        r = b - root if (random() < 0.5 and b - root > 1e-6) else b + root
         if r <= 1e-6:
             continue
         m = ModuliPoint(x1, r * cmath.exp(1j * phi), a)

@@ -92,6 +92,7 @@ def test_gram_matrix_stores_rows():
     ([[1, 0, 0]], "expected 3 coordinates for n=2, got shape (1, 3)"),
     ([1, 0], "expected 3 coordinates for n=2, got shape (2,)"),
     ("123", "expected 3 coordinates for n=2, got shape ()"),
+    pytest.param(b"123", "expected 3 coordinates for n=2, got shape ()", id="bytes"),
 ])
 def test_malformed_coordinates_name_their_shape(coords, message):
     with pytest.raises(DimensionMismatch) as info:
@@ -110,6 +111,7 @@ def test_malformed_coordinates_name_their_shape(coords, message):
     (["abc", 0, 0], ValueError, None), ("1j0", ValueError, None),
     (np.array([1, 0]), DimensionMismatch, "(2,)"), (np.zeros((1, 3)), DimensionMismatch, "(1, 3)"),
     (np.array([None, 0, 0], dtype=object), TypeError, None),
+    (bytearray(b"123"), TypeError, None),
 ])
 def test_malformed_coordinates_raise_what_they_always_raised(coords, error, shape):
     # a wrong shape is named in the package's own message; any other error is complex()'s

@@ -7,12 +7,14 @@ from chquad import (
     BoundaryPoint,
     HermitianVector,
     InvalidParameter,
+    Isometry,
     NumericConfig,
     form_matrix,
     gram_of,
     in_moduli_space,
     moduli_coordinates,
     moduli_residual,
+    signature_basis,
     standard_lift,
 )
 from chquad.hermitian import _form
@@ -112,6 +114,36 @@ def test_quadruple_kind_validation():
     # a chain quadruple exists even on the circle at n = 1
     p = random_quadruple(1, "c_plane", rng)
     assert len(p) == 4
+
+
+# each function that sizes an array or a list by n, called with that n
+TAKES_N = {
+    "random_boundary_point": lambda n: random_boundary_point(n, np.random.default_rng(0)),
+    "random_quadruple": lambda n: random_quadruple(n, "generic", np.random.default_rng(0)),
+    "random_isometry": lambda n: random_isometry(n, np.random.default_rng(0)),
+    "form_matrix": form_matrix,
+    "signature_basis": signature_basis,
+    "Isometry": lambda n: Isometry(n, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("call", list(TAKES_N))
+@pytest.mark.parametrize("n", [True, False, np.True_, 2.0, np.float64(2.0), "2", None, 2 + 0j])
+def test_a_bool_or_non_integral_n_is_refused(call, n):
+    # numpy reads a bool index as a mask: form_matrix(True) was [[1, 1], [0, 0]]
+    with pytest.raises(InvalidParameter) as info:
+        TAKES_N[call](n)
+    assert str(info.value) == f"n must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("call", list(TAKES_N))
+@pytest.mark.parametrize("n", [np.int64(2), np.uint8(2)])
+def test_a_numpy_integer_n_reads_as_its_int(call, n):
+    got, want = TAKES_N[call](n), TAKES_N[call](2)
+    if isinstance(want, Isometry):
+        assert type(got.n) is int
+        got, want = got.matrix, want.matrix
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def test_random_isometry_preserves_form():
