@@ -18,18 +18,18 @@ _EXPORTS = {
         "ZeroCrossRatio", "ZeroVector",
     ),
     "gram": (
-        "GramMatrix", "gram_of", "gram_of_points", "normalize", "normalized_gram_of_points",
+        "GramMatrix", "NormalizedGram", "cartan_from_lifts", "cross_ratio_from_lifts", "det_face",
+        "det_gram", "gram_from_moduli", "gram_of", "gram_of_points", "moduli_from_gram",
+        "normalize", "normalized_gram_of_points",
     ),
     "hermitian": (
         "HermitianVector", "Isometry", "apply_isometry_point", "form_matrix", "point_from_lift",
         "signature_basis", "standard_lift",
     ),
     "invariants": (
-        "CrossRatioTriple", "FACES", "ModuliPoint", "NormalizedGram", "cartan",
-        "cartan_from_lifts", "congruent_antiholomorphic", "congruent_holomorphic",
-        "cross_ratio", "cross_ratio_from_lifts", "cross_ratio_triple", "det_face",
-        "det_from_moduli", "det_gram", "face_dets_from_moduli", "gram_from_moduli",
-        "moduli_from_gram",
+        "CrossRatioTriple", "FACES", "ModuliPoint", "cartan", "congruent_antiholomorphic",
+        "congruent_holomorphic", "cross_ratio", "cross_ratio_triple", "det_from_moduli",
+        "face_dets_from_moduli",
     ),
     "moduli": (
         "ClassificationReport", "classify", "in_moduli_space", "moduli_coordinates",

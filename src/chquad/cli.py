@@ -69,15 +69,10 @@ def _points_from_json(obj, path: str = "") -> tuple:
 
 
 def _json_n(obj) -> int:
-    """The input's dimension "n": a JSON int or integral float; not a bool or a string."""
-    from .points import _json_field
+    """The input's dimension "n": a JSON int or integral float (``points._json_int``)."""
+    from .points import _json_field, _json_int
 
-    n = _json_field(obj, "n", "input")
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n: expected an integer, got {n!r}")
-    return _bounded_n(n, "n")
+    return _bounded_n(_json_int(_json_field(obj, "n", "input"), "n"), "n")
 
 
 def _bounded_n(n: int, name: str) -> int:

@@ -82,4 +82,4 @@ class DegenerateBasis(GeometryError):
 
 
 class UnderflowError(ArithmeticError):
-    """A subnormal Gram entry of distinct points: like OverflowError, not a GeometryError."""
+    """A subnormal Gram entry or |X2|^2: like OverflowError, not a GeometryError."""

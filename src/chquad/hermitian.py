@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 from .errors import DimensionMismatch, InvalidParameter, NotIsometry, NotNull, ZeroVector
 from .numeric import (_LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
                       resolve)
-from .points import BoundaryPoint, _json_complex, _json_field, _json_list, infer_dimension
+from .points import (BoundaryPoint, _json_complex, _json_field, _json_int, _json_list,
+                     infer_dimension)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,10 +41,13 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _dimension(n) -> int:
-    """n as an int; a bool, which numpy would read as a mask, and a non-integral n are refused."""
+    """An int n >= 1; a bool, which numpy reads as a mask, and a non-integral n are refused."""
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise InvalidParameter(f"n must be an integer, got {n!r}")
-    return n.__index__()
+    n = n.__index__()
+    if n < 1:
+        raise InvalidParameter(f"n must be >= 1, got {n}")
+    return n
 
 
 def form_matrix(n: int) -> np.ndarray:
@@ -140,7 +144,7 @@ class HermitianVector(Frozen, compare=False):
     @classmethod
     def from_json(cls, obj: dict, path: str = "lift") -> "HermitianVector":
         """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
-        n = int(_json_field(obj, "n", path))
+        n = _json_int(_json_field(obj, "n", path), f"{path}.n")
         coords = _json_list(_json_field(obj, "coords", path), f"{path}.coords")
         return cls(n, [_json_complex(v, f"{path}.coords[{k}]") for k, v in enumerate(coords)])
 

@@ -1,5 +1,5 @@
-"""Cartan's angular invariant, complex cross-ratios, the Gram normal form and
-its dictionary with the moduli coordinates (X1, X2, A), and congruence.
+"""Cartan's angular invariant, complex cross-ratios, the moduli coordinates
+(X1, X2, A), and congruence.
 
 For an ordered triple of distinct boundary points, the Cartan invariant
 
@@ -11,46 +11,29 @@ complex cross-ratio
 
     X(p1, p2, p3, p4) = <P3,P1><P4,P2> / (<P4,P1><P3,P2>)
 
-is likewise lift-independent and isometry-invariant.  Rescaling lifts
-by lambda_i maps g_ij to lambda_i conj(lambda_j) g_ij; each class of
-Gram matrices holds one normal form, with zero diagonal,
-g12 = g23 = g34 = 1 and |g13| = 1, and against its free entries
-(g13, g14, g24) the dictionary reads
+is likewise lift-independent and isometry-invariant.  Two quadruples
+are congruent under a holomorphic isometry precisely when their moduli
+points coincide, and under an anti-holomorphic one precisely when one
+is (conj X1, conj X2, -A) of the other.  ``_dictionary`` gives the free
+entries of the Gram normal form (see ``gram``) that ``reconstruct`` reads.
 
-    X1 = conj(g13) conj(g24) / conj(g14),   X2 = 1 / conj(g14),
-    X3 = 1 / (g13 conj(g24)),               A  = arg(-conj(g13)),
-
-with inverse g13 = -e^{-iA}, g14 = 1/conj(X2),
-g24 = -(conj(X1)/conj(X2)) e^{iA}.  Only the squares of g13 and g24
-are determined by (X1, X2, X3) alone, which is why the angle A is part
-of the moduli data.  Two quadruples are congruent under a holomorphic
-isometry precisely when their moduli points coincide, and under an
-anti-holomorphic one precisely when one is (conj X1, conj X2, -A) of
-the other.
-
-Every value here is read off one Gram matrix: the rows of
-``points._points_rows`` of points or of ``gram._gram`` of lifts, or a
-normal form's free entries g13, g14, g24; F is read off (X1, X2, A).
-Each formula (cross-ratio, Cartan, F, face determinants) has one
-definition.  A product is taken as it reads while its modulus lies in
-[2^-500, 2^500], and otherwise on its factors scaled exactly by powers
-of two, so rows at any scale give full-precision values.
+Every value here is read off the rows of one Gram matrix, which
+``points._points_rows`` builds of points and ``gram`` of lifts or of a
+normal form, or off (X1, X2, A).  Each formula (cross-ratio, Cartan, F,
+face determinants) has one definition.  A product is taken as it reads
+while its modulus lies in [2^-500, 2^500], and otherwise on its factors
+scaled exactly by powers of two, so rows at any scale give
+full-precision values.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING
 
-from .errors import (CartanOutOfRange, DegenerateEntry, InvalidFace, InvalidParameter,
-                     NotNormalForm, UnderflowError, ZeroCrossRatio)
-from .numeric import (_HI, _LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
-                      resolve)
+from .errors import CartanOutOfRange, InvalidParameter, UnderflowError, ZeroCrossRatio
+from .numeric import _HI, _LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr, resolve
 from .points import _TINY, _json_complex, _json_field, _json_number, _points_rows
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 HALF_PI = math.pi / 2.0
@@ -116,21 +99,9 @@ def _quadruple_gram(points, cfg: NumericConfig | None) -> tuple:
     return _points_rows(points, resolve(cfg))
 
 
-def cartan_from_lifts(P1, P2, P3, cfg: NumericConfig | None = None) -> float:
-    from .gram import _gram  # the kernel of lifts, on the lift side above this module
-
-    return _cartan(_gram((P1, P2, P3), resolve(cfg)), 0, 1, 2, cfg)
-
-
 def cartan(p1, p2, p3, cfg: NumericConfig | None = None) -> float:
     """Cartan angular invariant of an ordered triple of boundary points."""
     return _cartan(_points_rows((p1, p2, p3), resolve(cfg)), 0, 1, 2, cfg)
-
-
-def cross_ratio_from_lifts(P1, P2, P3, P4, cfg: NumericConfig | None = None) -> complex:
-    from .gram import _gram
-
-    return _cross_ratio(_gram((P1, P2, P3, P4), resolve(cfg)), 0, 1, 2, 3)
 
 
 def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
@@ -218,66 +189,6 @@ class CrossRatioTriple(Frozen):
                      for k in ("x1", "x2", "x3")))
 
 
-class NormalizedGram(Frozen):
-    """The normal form: only g13, g14, g24 are free; |g13| = 1; checked with ``cfg``."""
-
-    _fields = ("g13", "g14", "g24")
-
-    def __init__(self, g13: complex, g14: complex, g24: complex,
-                 cfg: NumericConfig | None = None):
-        g13, g14, g24 = complex(g13), complex(g14), complex(g24)
-        if not (cmath.isfinite(g13) and cmath.isfinite(g14) and cmath.isfinite(g24)):
-            raise InvalidParameter("normal form entries must be finite")
-        _setattr(self, "g13", g13)
-        _setattr(self, "g14", g14)
-        _setattr(self, "g24", g24)
-        _setattr(self, "cfg", cfg)
-        c = resolve(cfg)
-        try:
-            if abs(abs(g13) - 1.0) > c.tol(1.0):
-                raise NotNormalForm(f"|g13| must be 1, got {abs(g13)}")
-            r14 = abs(g14)  # ModuliPoint's guard: |X2| = 1/r14 and |X1| = |g24|/r14
-            if r14 == 0.0 or c.abs_tol * r14 >= 1.0 or abs(g24) <= c.abs_tol * r14:
-                raise DegenerateEntry("g14 and g24 must be nonzero in a normal form")
-        except OverflowError:  # a modulus of finite parts beyond the float range
-            raise _overflow(("g13", g13), ("g14", g14), ("g24", g24)) from None
-
-    @property
-    def rows(self) -> tuple:
-        """The full 4x4 matrix this normal form stands for, as Python complex rows."""
-        g13, g14, g24 = self.g13, self.g14, self.g24
-        return ((0j, 1 + 0j, g13, g14),
-                (1 + 0j, 0j, 1 + 0j, g24),
-                (g13.conjugate(), 1 + 0j, 0j, 1 + 0j),
-                (g14.conjugate(), g24.conjugate(), 1 + 0j, 0j))
-
-    def matrix(self) -> np.ndarray:
-        """The full 4x4 matrix this normal form stands for, read-only."""
-        from .hermitian import _read_only  # the lift side, which no other reader here needs
-
-        return _read_only(self.rows)
-
-    def conjugate(self) -> "NormalizedGram":
-        return NormalizedGram(self.g13.conjugate(), self.g14.conjugate(), self.g24.conjugate(),
-                              self.cfg)
-
-    def isclose(self, other: "NormalizedGram", cfg: NumericConfig | None = None) -> bool:
-        c = resolve(cfg)
-        scale = max(1.0, abs(self.g14), abs(other.g14), abs(self.g24), abs(other.g24))
-        return _close(c.tol(scale), self.g13 - other.g13, self.g14 - other.g14,
-                      self.g24 - other.g24)
-
-    def to_json(self) -> dict:
-        return {name: [v.real, v.imag] for name, v in zip(self._fields, self._key(self))}
-
-    @classmethod
-    def from_json(cls, obj: dict, cfg: NumericConfig | None = None,
-                  path: str = "normal_form") -> "NormalizedGram":
-        """Parse to_json output; a malformed field raises ValueError naming its JSON path."""
-        return cls(*(_json_complex(_json_field(obj, k, path), f"{path}.{k}")
-                     for k in ("g13", "g14", "g24")), cfg)
-
-
 def cross_ratio_triple(points, cfg: NumericConfig | None = None) -> CrossRatioTriple:
     """The three cross-ratios (X1, X2, X3) of an ordered quadruple.
 
@@ -299,21 +210,20 @@ def _moduli(g, cfg: NumericConfig | None) -> ModuliPoint:
                        _cartan(g, 0, 1, 2, cfg), cfg)
 
 
-def moduli_from_gram(G: NormalizedGram, cfg: NumericConfig | None = None) -> ModuliPoint:
-    """Read (X1, X2, A) off a Gram normal form."""
-    return _moduli(G.rows, cfg)
-
-
-def gram_from_moduli(m: ModuliPoint) -> NormalizedGram:
-    """Rebuild the Gram normal form from (X1, X2, A), with m's config."""
-    return NormalizedGram(*_dictionary(m.x1, m.x2, m.cartan), m.cfg)
-
-
 def _dictionary(x1: complex, x2: complex, a: float) -> tuple:
-    """Unchecked free entries g13 = -e^{-iA}, g14 = 1/conj(X2), g24 = -(conj X1/conj X2) e^{iA}."""
+    """The normal form's free entries g13 = -e^{-iA}, g14 = 1/conj(X2) and
+    g24 = -(conj X1/conj X2) e^{iA}; OverflowError or UnderflowError naming g14 or g24 when
+    its modulus is not in [smallest normal float, inf), the Gram kernels' rule."""
     g13 = -cmath.exp(-1j * a)
     g14 = 1.0 / x2.conjugate()
     g24 = -(x1.conjugate() / x2.conjugate()) * cmath.exp(1j * a)
+    for name, g in (("g14", g14), ("g24", g24)):
+        size = math.hypot(g.real, g.imag)  # inf where abs() raises; NaN of inf times 0
+        if not size < math.inf:
+            raise OverflowError(f"{name} leaves the float range at |X1| = {abs(x1)!r}, "
+                                f"|X2| = {abs(x2)!r}")
+        if size < _TINY:
+            raise UnderflowError(f"|{name}| = {size!r} lies below the normal float range")
     return g13, g14, g24
 
 
@@ -345,15 +255,6 @@ def det_from_moduli(m: ModuliPoint) -> float:
     return _residual(m.x1, m.x2, m.cartan)[0] / _x2_squared(abs(m.x2))
 
 
-def det_gram(G: NormalizedGram) -> float:
-    """Determinant of the normal form, by the closed formula."""
-    g13, g14, g24 = G.g13, G.g14, G.g24
-    return (-2.0 * g14.real
-            - 2.0 * (g13 * g24.conjugate()).real
-            - 2.0 * (g13 * g14.conjugate() * g24).real
-            + abs(g14) ** 2 + abs(g24) ** 2 + 1.0)
-
-
 def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
     """The four face determinants of the normal form with free entries g13, g14, g24.
 
@@ -364,23 +265,10 @@ def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
             2.0 * (g13 * g14.conjugate()).real, 2.0 * g24.real)
 
 
-def det_face(G: NormalizedGram, face) -> float:
-    """Determinant of the 3x3 principal minor picked out by a face.
-
-    Faces are the 1-based triples of ``FACES``. For actual configurations
-    all four values are <= 0 and vanish exactly when the face lies on a chain.
-    """
-    face = tuple(face)
-    if face not in FACES:
-        raise InvalidFace(f"face must be one of {FACES}, got {face}")
-    return _face_dets(G.g13, G.g14, G.g24)[FACES.index(face)]
-
-
 def face_dets_from_moduli(m: ModuliPoint) -> tuple:
     """The four face determinants in moduli coordinates, in the order of ``FACES``."""
     _x2_squared(min(abs(m.x2), 1.0))  # the underflow rule: a |X2| >= 1 does not underflow
-    G = gram_from_moduli(m)
-    return _face_dets(G.g13, G.g14, G.g24)
+    return _face_dets(*_dictionary(m.x1, m.x2, m.cartan))
 
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:

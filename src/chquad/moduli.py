@@ -97,7 +97,9 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     R and the leftover norm, which is possible exactly when F <= 0
     (Cauchy-Schwarz).  Any choice of solution lands in the same
     congruence class, so the canonical one below is as good as any.
-    A |X2|^2 below the normal float range raises UnderflowError.
+    A |X2|^2 below the normal float range raises UnderflowError, and an
+    anchor entry g14 or g24 outside the float range OverflowError or
+    UnderflowError (``invariants._dictionary``).
     """
     from .hermitian import HermitianVector  # the lift side, which only this function needs
 
@@ -182,20 +184,22 @@ def classify(m: ModuliPoint, cfg: NumericConfig | None = None) -> Classification
     the singular set of the moduli space.  It is R-plane (all four
     points on one R-circle) iff A = 0 with X1, X2 positive reals on
     the conic -2(X1+X2) - 2 X1 X2 + X1^2 + X2^2 + 1 = 0, which is
-    F = 0 restricted to real coordinates.  A |X2|^2 below the normal
-    float range raises UnderflowError.
+    F = 0 restricted to real coordinates.  A face lies on a chain iff
+    its chain quantity vanishes: cos A, Re(X1 e^{-iA}), Re(X2 e^{iA})
+    and Re(X1 conj(X2) e^{-iA}) for the faces in the order of
+    ``FACES``, each held to tol of its own size.
     """
     tol = resolve(cfg).tol
     x1, x2, a = m.x1, m.x2, m.cartan
     r1, r2 = abs(x1), abs(x2)
-    F, scale = _residual(x1, x2, a)
+    F, scale = _residual(x1, x2, a)  # finite |X1|^2 + |X2|^2, which bounds 2|X1 X2|
     on_shell = abs(F) <= tol(scale)
-    w = 2.0 / _x2_squared(r2)
-    d123, d124, d134, d234 = _face_dets(*_dictionary(x1, x2, a))
-    # face determinant = -2 q (faces 2-4: -2 q / |X2|^2) for a q held to tol of its own size
+    e = cmath.exp(-1j * a)
+    x1e = x1 * e
     unit = tol(1.0)
-    faces = (abs(d123) <= 2.0 * unit, abs(d124) <= w * tol(r1), abs(d134) <= w * tol(r2),
-             abs(d234) <= w * tol(abs(x1 * x2)))
+    faces = (abs(e.real) <= unit, abs(x1e.real) <= tol(r1),
+             abs((x2 * e.conjugate()).real) <= tol(r2),
+             abs((x1e * x2.conjugate()).real) <= tol(r1 * r2))
     reals = abs(x1.imag) <= tol(r1) and abs(x2.imag) <= tol(r2)
     is_c = (abs(abs(a) - HALF_PI) <= unit and reals
             and abs(x1.real + x2.real - 1.0) <= tol(r1 + r2))

@@ -44,6 +44,15 @@ def _json_number(value, path: str) -> float:
     return float(value)
 
 
+def _json_int(value, path: str) -> int:
+    """A JSON int, or an integral float, as an int; booleans and strings are not integers."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _json_complex(value, path: str) -> complex:
     """A JSON [re, im] pair of numbers as a complex number."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:

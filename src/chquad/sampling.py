@@ -53,10 +53,7 @@ def _uniform(gen: np.random.Generator, low: float, high: float) -> float:
 
 def random_boundary_point(n: int, rng) -> BoundaryPoint:
     """A random boundary point; lands at infinity with probability 1/16."""
-    n = _dimension(n)
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    return _boundary_point(n, _rng(rng))
+    return _boundary_point(_dimension(n), _rng(rng))
 
 
 def _boundary_point(n: int, gen: np.random.Generator) -> BoundaryPoint:
@@ -104,9 +101,8 @@ def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     if kind not in KINDS:
         raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
     n = _dimension(n)
-    min_n = 1 if kind == "c_plane" else 2
-    if n < min_n:
-        raise InvalidParameter(f"kind {kind!r} needs n >= {min_n}, got {n}")
+    if n < 2 and kind != "c_plane":
+        raise InvalidParameter(f"kind {kind!r} needs n >= 2, got {n}")
     gen = _rng(rng)
     for _ in range(MAX_ATTEMPTS):
         points = tuple(_draw_quadruple(n, kind, gen))
@@ -132,8 +128,6 @@ def random_isometry(n: int, rng) -> Isometry:
     validates the result.
     """
     n = _dimension(n)
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
     normal = _rng(rng).standard_normal
     d = [1.0] * n + [-1.0]
     for _ in range(50):

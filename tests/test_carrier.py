@@ -234,6 +234,17 @@ def test_a_directly_built_gram_matrix_runs_its_checks():
     assert checks(GramMatrix, lambda: GramMatrix(4, G.rows)) == 1
 
 
+def test_the_package_builds_its_normal_forms_without_checking_them_again():
+    # the moduli point's guard has run; only a normal form a caller hands in is checked
+    from chquad import NormalizedGram, gram_from_moduli, normalized_gram_of_points
+
+    G = gram_from_moduli(moduli_coordinates(QUAD))
+    assert checks(NormalizedGram, lambda: (gram_from_moduli(moduli_coordinates(QUAD)),
+                                           normalized_gram_of_points(QUAD), G.conjugate())) == 0
+    assert checks(NormalizedGram, lambda: NormalizedGram.from_json(G.to_json())) == 1
+    assert checks(NormalizedGram, lambda: NormalizedGram(G.g13, G.g14, G.g24)) == 1
+
+
 def imports_of(modules, nodes, where="module"):
     """Where each import of one of modules among nodes runs: on import of the module
     ("module"), only for a type checker ("type-checking"), or when a function is called
@@ -261,6 +272,17 @@ def test_numpy_is_imported_only_at_the_array_edges():
         if "function" in where:
             in_functions.add(path.name)
     assert in_functions and in_functions <= {"hermitian.py", "gram.py", "sampling.py", "cli.py"}
+
+
+def test_only_reconstruct_reaches_the_lift_side():
+    # the points side imports nothing of the lift side when it loads; reconstruct, which
+    # builds lifts, imports hermitian when it is called
+    src = Path(chquad.__file__).parent
+    where = {name: list(imports_of({"hermitian", "gram"}, ast.parse(
+                 (src / f"{name}.py").read_text()).body))
+             for name in ("numeric", "errors", "points", "invariants", "moduli", "varieties")}
+    assert where == {"numeric": [], "errors": [], "points": [], "invariants": [],
+                     "moduli": ["function"], "varieties": []}
 
 
 def test_no_module_imports_dataclasses_inspect_or_csv_at_load():

@@ -479,6 +479,40 @@ def test_malformed_lift_names_json_path(tmp_path, capsys, text, where):
     assert error["detail"] == where
 
 
+def lifts_text(n_texts) -> str:
+    """The lifts input of counterexample_pair's first quadruple, lift k's "n" written as
+    n_texts[k]."""
+    lifts = [standard_lift(p, 2).to_json() for p in counterexample_pair(2.0)[0]]
+    return '{"lifts": [' + ", ".join(
+        json.dumps(P).replace('"n": 2', f'"n": {n}') for P, n in zip(lifts, n_texts)) + "]}"
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("n,shown", [("2.7", "2.7"), ("true", "True"), ('"2"', "'2'"),
+                                     ("null", "None")])
+def test_a_lift_dimension_that_is_not_an_integer_exits_two(tmp_path, capsys, k, n, shown):
+    # read by int() it was 2.7 -> 2, true -> 1 and "2" -> 2
+    n_texts = ["2"] * 4
+    n_texts[k] = n
+    path = tmp_path / "in.json"
+    path.write_text(lifts_text(n_texts))
+    code, out = run(capsys, "normalize", "--input", str(path))
+    assert code == 2
+    assert strict_json(out) == {"error": "malformed-input",
+                                "detail": f"lifts[{k}].n: expected an integer, got {shown}"}
+
+
+def test_an_integral_float_lift_dimension_reads_as_an_int(tmp_path, capsys):
+    outputs = []
+    for n in ("2", "2.0"):
+        path = tmp_path / "in.json"
+        path.write_text(lifts_text([n] * 4))
+        code, out = run(capsys, "normalize", "--input", str(path))
+        assert code == 0 and "normalized" in strict_json(out)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_sample_spawns_one_seed_per_record(capsys, monkeypatch):
     spawned = []
 

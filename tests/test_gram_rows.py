@@ -36,7 +36,7 @@ from chquad import (
 )
 from chquad.gram import gram_of_points
 from chquad.hermitian import HermitianVector
-from chquad.invariants import _moduli, cartan_from_lifts, cross_ratio_from_lifts
+from chquad.gram import _moduli, cartan_from_lifts, cross_ratio_from_lifts
 from chquad.varieties import certify_noninjectivity
 
 

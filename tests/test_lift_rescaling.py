@@ -24,7 +24,7 @@ from chquad import (
     normalized_gram_of_points,
     standard_lift,
 )
-from chquad.invariants import _moduli, cross_ratio_from_lifts
+from chquad.gram import _moduli, cross_ratio_from_lifts
 from chquad.numeric import small
 from chquad.sampling import KINDS, random_quadruple
 

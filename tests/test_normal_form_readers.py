@@ -1,13 +1,15 @@
-"""``classify`` and ``reconstruct`` read the normal form's three free entries.
+"""``classify`` reads each face's chain quantity off (X1, X2, A); ``reconstruct`` and
+``face_dets_from_moduli`` read the normal form's three free entries.
 
-Both take the face determinants from ``invariants._face_dets`` on (g13, g14, g24).  The
-verdicts are checked against the triple products of the full rows of
-``gram_from_moduli(m)``, an oracle that does not go through ``_face_dets``, on sampled
-moduli and on points nudged across each threshold.  The reconstructed lifts and the
-classification reports are pinned bit for bit by digests recorded before the faces were
-read off the free entries (x86-64, glibc 2.36, numpy 2.4).  A |X2|^2 below the normal
-float range, which both functions divide by, raises UnderflowError, as it does in
-``det_from_moduli`` and ``face_dets_from_moduli``.  The other readers of F are pinned by
+The face flags are checked against the triple products of the full rows of
+``gram_from_moduli(m)``, an oracle that does not go through ``classify``'s chain
+quantities, on sampled moduli and on points nudged across each threshold.  The
+reconstructed lifts and the classification reports are pinned bit for bit by digests
+recorded before the faces were read off the free entries (x86-64, glibc 2.36, numpy 2.4);
+they held when ``classify`` moved on to the chain quantities.  A |X2|^2 below the normal
+float range, which ``reconstruct`` divides by, raises UnderflowError, as it does in
+``det_from_moduli`` and ``face_dets_from_moduli``; a free entry outside the float range
+raises OverflowError or UnderflowError naming it.  The other readers of F are pinned by
 digests too, recorded before they shared one reader of F and its scale.
 """
 
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 
 from chquad import (GeometryError, ModuliPoint, NumericConfig, UnderflowError, ZeroCrossRatio,
-                    classify, det_from_moduli, face_dets_from_moduli, gram_from_moduli,
-                    in_moduli_space, moduli_coordinates, moduli_residual, positivity_check,
-                    reconstruct, residual_scale)
+                    classify, det_from_moduli, face_dets_from_moduli, gram_from_moduli, gram_of,
+                    in_moduli_space, moduli_coordinates, moduli_from_gram, moduli_residual,
+                    normalize, positivity_check, reconstruct, residual_scale)
 from chquad.cli import main
 from chquad.gram import FACES
 from chquad.sampling import KINDS, random_chain_moduli, random_moduli_point, random_quadruple
@@ -86,6 +88,16 @@ def classify_or_error(x1, x2, a, c):
         return m, classify(m, c)
     except GeometryError as e:
         return None, type(e).__name__
+
+
+def chain_flags(m, c) -> tuple:
+    """Each face's chain quantity held to tol of its size, computed off (X1, X2, A)."""
+    tol = (NumericConfig() if c is None else c).tol
+    x1, x2, a = m.x1, m.x2, m.cartan
+    return (abs(math.cos(a)) <= tol(1.0),
+            abs((x1 * cmath.exp(-1j * a)).real) <= tol(abs(x1)),
+            abs((x2 * cmath.exp(1j * a)).real) <= tol(abs(x2)),
+            abs((x1 * x2.conjugate() * cmath.exp(-1j * a)).real) <= tol(abs(x1 * x2)))
 
 
 def digest(items) -> str:
@@ -194,14 +206,48 @@ def test_reconstruct_holds_x1_and_x2_to_its_own_config():
 def test_an_underflowing_x2_squared_is_an_underflow_error(x2):
     m = ModuliPoint(1, x2, 0, ZERO_ABS)
     message = rf"^\|X2\| = {re.escape(repr(abs(x2)))}: \|X2\|\^2 lies below the normal float"
-    with pytest.raises(UnderflowError, match=message):
-        classify(m, ZERO_ABS)
+    assert classify(m, ZERO_ABS).face_on_chain == chain_flags(m, ZERO_ABS)
     with pytest.raises(UnderflowError, match=message):
         reconstruct(m, 3, ZERO_ABS)
     with pytest.raises(UnderflowError, match=message):
         det_from_moduli(m)
     with pytest.raises(UnderflowError, match=message):
         face_dets_from_moduli(m)
+
+
+@pytest.mark.parametrize("x1,x2,a", [(1e-170, 9e153, 0.0), (1e-170, 9e153, 0.3),
+                                     (2e-160, 3e150, -0.7)])
+def test_no_face_is_on_a_chain_when_its_normal_form_entry_underflows(x1, x2, a):
+    # g24 = X1/X2 underflows to 0, whose 2 Re g24 read faces 2 and 4 as on a chain
+    m = ModuliPoint(x1, x2, a, ZERO_ABS)
+    assert classify(m, ZERO_ABS).face_on_chain == chain_flags(m, ZERO_ABS) == (False,) * 4
+
+
+@pytest.mark.parametrize("x1,x2,a,error,message", [
+    (1e-170, 9e153, 0.0, UnderflowError, r"^\|g24\| = 0\.0 lies below the normal float range$"),
+    (1e300, 1e-10, 0.1, OverflowError, r"^g24 leaves the float range at \|X1\| = 1e\+300, "),
+    (1.0, 5e307, 0.0, UnderflowError, r"^\|g14\| = 2e-308 lies below the normal float range$"),
+])
+def test_a_free_entry_outside_the_float_range_is_named(x1, x2, a, error, message):
+    # no float normal form holds m: the entry's range error, not a check's verdict on it
+    m = ModuliPoint(x1, x2, a, ZERO_ABS)
+    for read in (gram_from_moduli, face_dets_from_moduli):
+        with pytest.raises(error, match=message):
+            read(m)
+
+
+def test_normal_forms_of_a_checked_moduli_point_are_not_checked_again():
+    # under NumericConfig(0, 0), |g13| = |e^{-iA}| rounds below 1 at 7 of these angles,
+    # which a second check of the entries refused as NotNormalForm
+    exact, realized = NumericConfig(0.0, 0.0), 0
+    for a in np.linspace(-HALF_PI, HALF_PI, 315).tolist():
+        m = ModuliPoint(1, 1, a, exact)
+        gram_from_moduli(m)
+        face_dets_from_moduli(m)
+        if in_moduli_space(m, 3):
+            realized += 1
+            assert moduli_from_gram(normalize(gram_of(reconstruct(m, 3)), exact)).isclose(m)
+    assert realized == 209
 
 
 def test_a_large_x2_gives_face_determinants():

@@ -137,6 +137,15 @@ def test_a_bool_or_non_integral_n_is_refused(call, n):
 
 
 @pytest.mark.parametrize("call", list(TAKES_N))
+@pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+def test_an_n_below_one_is_refused(call, n):
+    # form_matrix(0) was [[1]] and Isometry(0, [[1]]) built; form_matrix(-1) an IndexError
+    with pytest.raises(InvalidParameter) as info:
+        TAKES_N[call](n)
+    assert str(info.value) == f"n must be >= 1, got {n}"
+
+
+@pytest.mark.parametrize("call", list(TAKES_N))
 @pytest.mark.parametrize("n", [np.int64(2), np.uint8(2)])
 def test_a_numpy_integer_n_reads_as_its_int(call, n):
     got, want = TAKES_N[call](n), TAKES_N[call](2)

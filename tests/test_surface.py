@@ -23,15 +23,14 @@ EXPORTS = {
                "InvalidFace", "InvalidParameter", "NotInModuliSpace", "NotIsometry",
                "NotNormalForm", "NotNull", "PreconditionViolated", "ResamplingExhausted",
                "UnderflowError", "ZeroCrossRatio", "ZeroVector"],
-    "gram": ["GramMatrix", "gram_of", "gram_of_points", "normalize",
-             "normalized_gram_of_points"],
+    "gram": ["GramMatrix", "NormalizedGram", "cartan_from_lifts", "cross_ratio_from_lifts",
+             "det_face", "det_gram", "gram_from_moduli", "gram_of", "gram_of_points",
+             "moduli_from_gram", "normalize", "normalized_gram_of_points"],
     "hermitian": ["HermitianVector", "Isometry", "apply_isometry_point", "form_matrix",
                   "point_from_lift", "signature_basis", "standard_lift"],
-    "invariants": ["CrossRatioTriple", "FACES", "ModuliPoint", "NormalizedGram", "cartan",
-                   "cartan_from_lifts", "congruent_antiholomorphic", "congruent_holomorphic",
-                   "cross_ratio", "cross_ratio_from_lifts", "cross_ratio_triple", "det_face",
-                   "det_from_moduli", "det_gram", "face_dets_from_moduli", "gram_from_moduli",
-                   "moduli_from_gram"],
+    "invariants": ["CrossRatioTriple", "FACES", "ModuliPoint", "cartan",
+                   "congruent_antiholomorphic", "congruent_holomorphic", "cross_ratio",
+                   "cross_ratio_triple", "det_from_moduli", "face_dets_from_moduli"],
     "moduli": ["ClassificationReport", "classify", "in_moduli_space", "moduli_coordinates",
                "moduli_residual", "positivity_check", "real_slice_residual", "reconstruct",
                "residual_scale"],
@@ -46,8 +45,7 @@ EXPORTS = {
 # before: each stays a name of that module too.
 MOVED = {
     "hermitian": ["BoundaryPoint", "infer_dimension"],
-    "gram": ["FACES", "NormalizedGram", "congruent_antiholomorphic", "congruent_holomorphic",
-             "det_face", "det_gram"],
+    "gram": ["FACES", "congruent_antiholomorphic", "congruent_holomorphic"],
 }
 
 
