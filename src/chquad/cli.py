@@ -221,14 +221,14 @@ def _cmd_slice(args, cfg):
         raise ValueError("--x1/--x2 bounds too large: the residual could overflow")
     import csv
 
-    from .moduli import real_slice_residual
+    from .invariants import _residual  # moduli.real_slice_residual's body, without moduli
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "residual"])
     for x1 in _grid(args.x1_min, args.x1_max, args.x1_steps):
         for x2 in _grid(args.x2_min, args.x2_max, args.x2_steps):
             writer.writerow([f"{x1:.12g}", f"{x2:.12g}",
-                             f"{real_slice_residual(x1, x2, args.a):.12g}"])
+                             f"{_residual(x1, x2, args.a)[0]:.12g}"])
     return None
 
 

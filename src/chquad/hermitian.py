@@ -28,26 +28,16 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatch, InvalidParameter, NotIsometry, NotNull, ZeroVector
+from .errors import DimensionMismatch, NotIsometry, NotNull, ZeroVector
 from .numeric import (_LO, Frozen, NumericConfig, _close, _ldexp, _overflow, _setattr,
                       resolve)
-from .points import (BoundaryPoint, _json_complex, _json_field, _json_int, _json_list,
-                     infer_dimension)
+from .points import (BoundaryPoint, _dimension, _json_complex, _json_field, _json_int,
+                     _json_list, infer_dimension)
 
 if TYPE_CHECKING:
     import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _dimension(n) -> int:
-    """An int n >= 1; a bool, which numpy reads as a mask, and a non-integral n are refused."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise InvalidParameter(f"n must be an integer, got {n!r}")
-    n = n.__index__()
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    return n
 
 
 def form_matrix(n: int) -> np.ndarray:
@@ -92,8 +82,7 @@ class HermitianVector(Frozen, compare=False):
     _fields = ("n", "values")
 
     def __init__(self, n: int, values: tuple):
-        if n < 1:
-            raise DimensionMismatch(f"n must be >= 1, got {n}")
+        n = _dimension(n)
         checked = _complex_values(values, (n + 1,))
         if checked is None:
             raise DimensionMismatch(f"expected {n + 1} coordinates for n={n}, "
@@ -243,9 +232,7 @@ def _is_null(z, s: float, c: NumericConfig) -> bool:
 
 
 def _lift(p: BoundaryPoint, n: int) -> list:
-    """Coordinates of the standard lift of p, as a list of n + 1 Python complex numbers."""
-    if n < 1:
-        raise DimensionMismatch(f"n must be >= 1, got {n}")
+    """The standard lift of p as n + 1 Python complex numbers, for an n ``_dimension`` has read."""
     if p.at_infinity:
         return [1 + 0j] + [0j] * n
     if len(p.z) != n - 1:
@@ -279,6 +266,7 @@ def _point(z, cfg: NumericConfig | None) -> BoundaryPoint:
 
 def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:
     """Null lift of a boundary point; always <lift, lift> = 0."""
+    n = _dimension(n)
     return HermitianVector(n, _lift(p, n))
 
 

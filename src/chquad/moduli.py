@@ -30,6 +30,7 @@ from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, Precon
 from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _dictionary, _face_dets, _moduli,
                          _quadruple_gram, _residual, _x2_squared)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
+from .points import _dimension
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
@@ -70,7 +71,7 @@ def in_moduli_space(m: ModuliPoint, n: int, cfg: NumericConfig | None = None) ->
     (A = pi/2) or Im(X1) <= 0 (A = -pi/2); evaluating Re(X1 e^{-iA})
     directly implements exactly that rule.
     """
-    c = resolve(cfg)
+    c, n = resolve(cfg), _dimension(n)
     if n < 2:
         raise InvalidParameter(f"moduli membership is defined for n >= 2, got {n}")
     if abs(m.cartan) > HALF_PI + c.tol(1.0):
@@ -103,7 +104,7 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     """
     from .hermitian import HermitianVector  # the lift side, which only this function needs
 
-    c = resolve(cfg)
+    c, n = resolve(cfg), _dimension(n)
     if n < 2:
         raise InvalidParameter(f"reconstruction is defined for n >= 2, got {n}")
     if not in_moduli_space(m, n, c):

@@ -6,7 +6,8 @@ infinity.  The Gram matrix of the points' standard lifts (see
 ``hermitian``) has a closed form in these coordinates, which
 ``_points_rows`` evaluates without building a lift.
 
-This module, with the JSON readers every ``from_json`` shares, is the
+This module, with the JSON readers every ``from_json`` shares and
+``_dimension``, the one rule of every public ``n`` on both sides, is the
 base of the points side: ``invariants``, ``moduli`` and ``varieties``
 import it and nothing of the lift side (``hermitian``, ``gram``) above.
 """
@@ -114,6 +115,17 @@ class BoundaryPoint(Frozen):
             return cls.finite([_json_complex(v, f"{path}.z[{k}]") for k, v in enumerate(z)],
                               _json_number(_json_field(obj, "t", path), f"{path}.t"))
         raise ValueError(f"{path}.type: unknown point type {kind!r}")
+
+
+def _dimension(n) -> int:
+    """Every public n, read as an int >= 1; a bool (a numpy mask) or a non-integral n is refused."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise InvalidParameter(f"n must be an integer, got {n!r}")
+        n = n.__index__()
+    if n < 1:
+        raise InvalidParameter(f"n must be >= 1, got {n}")
+    return n
 
 
 def infer_dimension(points) -> int:

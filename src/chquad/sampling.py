@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING
 
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
-from .hermitian import Isometry, _dimension
+from .hermitian import Isometry
 from .invariants import HALF_PI, ModuliPoint, _residual
 from .moduli import moduli_coordinates
 from .numeric import NumericConfig
-from .points import BoundaryPoint
+from .points import BoundaryPoint, _dimension
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,16 +41,6 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _uniform(gen: np.random.Generator, low: float, high: float) -> float:
-    """The draw and the value of ``gen.uniform(low, high)``.
-
-    Skips the argument handling, which costs several times the draw;
-    callers check the range.  ``gen.random()`` likewise stands for
-    ``gen.uniform()``.
-    """
-    return low + (high - low) * gen.random()
-
-
 def random_boundary_point(n: int, rng) -> BoundaryPoint:
     """A random boundary point; lands at infinity with probability 1/16."""
     return _boundary_point(_dimension(n), _rng(rng))
@@ -66,6 +56,7 @@ def _boundary_point(n: int, gen: np.random.Generator) -> BoundaryPoint:
 
 
 def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):
+    """One draw of four points of a kind that ``random_quadruple`` has checked."""
     if kind == "generic":
         return [_boundary_point(n, gen) for _ in range(4)]
     if kind == "c_plane":
@@ -80,15 +71,13 @@ def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):
         pad = (0j,) * (n - 2)
         return [BoundaryPoint(False, (complex(x),) + pad, 0.0)
                 for x in gen.standard_normal(4).tolist()]
-    if kind == "subspace2":
-        # CH^2 points padded with zeros: lifts in the span of the first, second and last axes
-        pad = (0j,) * (n - 2)
-        points = []
-        for _ in range(4):
-            p = _boundary_point(2, gen)
-            points.append(p if p.at_infinity else BoundaryPoint(False, p.z + pad, p.t))
-        return points
-    raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")
+    # subspace2: CH^2 points padded with zeros, lifts in the span of the first, second and last axes
+    pad = (0j,) * (n - 2)
+    points = []
+    for _ in range(4):
+        p = _boundary_point(2, gen)
+        points.append(p if p.at_infinity else BoundaryPoint(False, p.z + pad, p.t))
+    return points
 
 
 def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
@@ -174,7 +163,7 @@ def random_moduli_point(rng) -> ModuliPoint:
     """
     gen = _rng(rng)
     random, normal = gen.random, gen.standard_normal
-    low = -HALF_PI + MARGIN  # A and phi are drawn as _uniform draws them
+    low = -HALF_PI + MARGIN  # A and phi drawn as gen.uniform draws them, low + span * random()
     span = (HALF_PI - MARGIN) - low
     for _ in range(1000):
         x1 = complex(*normal(2).tolist())
@@ -201,7 +190,7 @@ def random_chain_moduli(rng, sign: float = 1.0) -> ModuliPoint:
     """A random point of the chain locus: A = +-pi/2, X1 + X2 = 1 real."""
     gen = _rng(rng)
     for _ in range(1000):
-        x1 = _uniform(gen, -3.0, 4.0)
+        x1 = -3.0 + 7.0 * gen.random()  # gen.uniform(-3.0, 4.0), without its argument handling
         if abs(x1) < 0.05 or abs(1.0 - x1) < 0.05:
             continue
         return ModuliPoint(x1, 1.0 - x1, math.copysign(HALF_PI, sign))

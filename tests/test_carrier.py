@@ -378,7 +378,7 @@ LOADED = {
     "invariants": (POINTS_SIDE, 1461),
     "congruent": (POINTS_SIDE - {"moduli"}, 1230),
     "check-moduli": (POINTS_SIDE, 1461),
-    "slice": (POINTS_SIDE, 1461),
+    "slice": (POINTS_SIDE - {"moduli"}, 1230),
     "counterexample": (POINTS_SIDE | {"varieties"}, 1600),
     "reconstruct": (POINTS_SIDE | {"hermitian"}, 1782),
     "normalize": (POINTS_SIDE - {"moduli"} | {"hermitian", "gram"}, 1730),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from chquad import (
     in_moduli_space,
     moduli_coordinates,
     moduli_residual,
+    reconstruct,
     signature_basis,
     standard_lift,
 )
@@ -116,7 +118,9 @@ def test_quadruple_kind_validation():
     assert len(p) == 4
 
 
-# each function that sizes an array or a list by n, called with that n
+ON_F_ZERO = random_moduli_point(np.random.default_rng(0))  # realized in dimension 2
+# each function that takes a dimension n, called with that n; a lift or a verdict goes
+# through json.dumps, which refuses a numpy integer that leaks into it
 TAKES_N = {
     "random_boundary_point": lambda n: random_boundary_point(n, np.random.default_rng(0)),
     "random_quadruple": lambda n: random_quadruple(n, "generic", np.random.default_rng(0)),
@@ -124,6 +128,10 @@ TAKES_N = {
     "form_matrix": form_matrix,
     "signature_basis": signature_basis,
     "Isometry": lambda n: Isometry(n, np.eye(3)),
+    "HermitianVector": lambda n: json.dumps(HermitianVector(n, [1, 0, 0]).to_json()),
+    "standard_lift": lambda n: json.dumps(standard_lift(BoundaryPoint.infinity(), n).to_json()),
+    "in_moduli_space": lambda n: json.dumps(in_moduli_space(ON_F_ZERO, n)),
+    "reconstruct": lambda n: json.dumps([P.to_json() for P in reconstruct(ON_F_ZERO, n)]),
 }
 
 
