@@ -152,9 +152,7 @@ def _gram(lifts, c: NumericConfig) -> tuple:
             try:
                 mags.append(abs(g))
             except OverflowError:  # |g| of finite parts beyond the float range
-                big = max(abs(g.real), abs(g.imag))
-                raise OverflowError(f"|<P{i + 1},P{j + 1}>| overflows for parts of "
-                                    f"magnitude {big}") from None
+                raise _overflow((f"<P{i + 1},P{j + 1}>", g)) from None
             if mags[-1] <= c.tol(scales[i] * scales[j]):
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             if mags[-1] < _TINY:

@@ -69,6 +69,9 @@ class NumericConfig(Frozen):
     _fields = ("abs_tol", "rel_tol")
 
     def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-9):
+        if not (0 <= abs_tol < math.inf and 0 <= rel_tol < math.inf):  # also when one is NaN
+            from .errors import InvalidParameter
+            raise InvalidParameter(f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}: need 0 <= tol < inf")
         _setattr(self, "abs_tol", abs_tol)
         _setattr(self, "rel_tol", rel_tol)
 

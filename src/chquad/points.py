@@ -130,11 +130,11 @@ def _dimension(n) -> int:
 
 def infer_dimension(points) -> int:
     """Common ambient dimension of a tuple of boundary points."""
-    return _reads(points, norms=False)[1] // 2 + 1
+    return _reads(points)[1] // 2 + 1
 
 
-def _reads(points, norms: bool = True) -> tuple:
-    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z| or None); the lists' length."""
+def _reads(points) -> tuple:
+    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z|); the lists' length."""
     reads, width = [], None
     for p in points:
         if p.at_infinity:
@@ -146,7 +146,7 @@ def _reads(points, norms: bool = True) -> tuple:
         if width not in (None, len(flat)):
             raise DimensionMismatch("points live in different dimensions")
         width = len(flat)
-        reads.append((flat, p.t, math.hypot(*flat) if norms else None))
+        reads.append((flat, p.t, math.hypot(*flat)))
     if width is None:
         raise CoincidentPoints("all points are at infinity")
     return reads, width

@@ -17,14 +17,14 @@ from typing import TYPE_CHECKING
 
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
-from .hermitian import Isometry
-from .invariants import HALF_PI, ModuliPoint, _residual
-from .moduli import moduli_coordinates
+from .invariants import HALF_PI, ModuliPoint, _moduli, _quadruple_gram, _residual
 from .numeric import NumericConfig
 from .points import BoundaryPoint, _dimension
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .hermitian import Isometry
 
 KINDS = ("generic", "c_plane", "r_plane", "subspace2")  # what random_quadruple draws
 INFINITY_PROB = 1.0 / 16.0
@@ -96,7 +96,7 @@ def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     for _ in range(MAX_ATTEMPTS):
         points = tuple(_draw_quadruple(n, kind, gen))
         try:
-            moduli_coordinates(points, cfg)
+            _moduli(_quadruple_gram(points, cfg), cfg)
         except (CoincidentPoints, ZeroCrossRatio):
             continue
         return points
@@ -116,6 +116,8 @@ def random_isometry(n: int, rng) -> Isometry:
     ``signature_basis``: C mixes only coordinates 0 and n.  ``Isometry``
     validates the result.
     """
+    from .hermitian import Isometry  # the lift side, which only this function needs
+
     n = _dimension(n)
     normal = _rng(rng).standard_normal
     d = [1.0] * n + [-1.0]

@@ -21,11 +21,9 @@ from __future__ import annotations
 import cmath
 
 from .errors import CertificateFailure, InvalidParameter
-from .invariants import (CrossRatioTriple, ModuliPoint, congruent_antiholomorphic,
-                         congruent_holomorphic, cross_ratio_triple)
-from .moduli import moduli_coordinates
+from .invariants import CrossRatioTriple, ModuliPoint, _cross_ratios, _moduli, _quadruple_gram
 from .numeric import Frozen, NumericConfig, _setattr, resolve
-from .points import BoundaryPoint, _points_rows
+from .points import BoundaryPoint
 
 
 def variety_residuals(x: CrossRatioTriple):
@@ -56,8 +54,7 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
     return p, tuple(q.mirror() for q in p)
 
 
-def _product_table(points, cfg: NumericConfig) -> dict:
-    g = _points_rows(points, cfg)
+def _product_table(g) -> dict:
     return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
             for i in range(4) for j in range(i + 1, 4)}
 
@@ -106,18 +103,17 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
     """
     c = resolve(cfg)
     p, q = counterexample_pair(t, c)
-    triple = cross_ratio_triple(p, c)
-    mirror_triple = cross_ratio_triple(q, c)
-    mp = moduli_coordinates(p, c)
-    mq = moduli_coordinates(q, c)
+    gp, gq = _quadruple_gram(p, c), _quadruple_gram(q, c)
+    triple, mirror_triple = _cross_ratios(gp), _cross_ratios(gq)
+    mp, mq = _moduli(gp, c), _moduli(gq, c)
     if not triple.isclose(mirror_triple, c):
         raise CertificateFailure("shared-cross-ratios",
                                  f"{triple} != {mirror_triple}")
-    holo = congruent_holomorphic(p, q, c)
+    holo = mp.isclose(mq, c)  # congruent_holomorphic(p, q, c) on these moduli points
     if holo:
         raise CertificateFailure("not-holomorphically-congruent",
                                  "the pair is congruent after all")
-    anti = congruent_antiholomorphic(p, q, c)
+    anti = mp.isclose(ModuliPoint(mq.x1.conjugate(), mq.x2.conjugate(), -mq.cartan, c), c)
     if not anti:
         raise CertificateFailure("antiholomorphically-congruent",
                                  "mirror congruence missing")
@@ -128,8 +124,8 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
         t=t,
         quadruple=p,
         mirror_quadruple=q,
-        products=_product_table(p, c),
-        mirror_products=_product_table(q, c),
+        products=_product_table(gp),
+        mirror_products=_product_table(gq),
         triple=triple,
         mirror_triple=mirror_triple,
         moduli=mp,

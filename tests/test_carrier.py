@@ -151,6 +151,7 @@ def test_proportional_to_edge_cases():
     assert Z.proportional_to(Z.scaled(-2.5 + 1j))
     assert not Z.proportional_to(HermitianVector(2, [1j, 0, 2]))
     assert not Z.proportional_to(HermitianVector(2, [math.nan, 0, 0]))
+    assert not Z.proportional_to(HermitianVector(3, [1j, 0, 0, 1]))
     assert HermitianVector(2, [0, 0, 0]).proportional_to(HermitianVector(2, [0, 0, 0]))
 
 
@@ -276,13 +277,24 @@ def test_numpy_is_imported_only_at_the_array_edges():
 
 def test_only_reconstruct_reaches_the_lift_side():
     # the points side imports nothing of the lift side when it loads; reconstruct, which
-    # builds lifts, imports hermitian when it is called
+    # builds lifts, imports hermitian when it is called, and so does random_isometry, which
+    # builds an Isometry
     src = Path(chquad.__file__).parent
     where = {name: list(imports_of({"hermitian", "gram"}, ast.parse(
                  (src / f"{name}.py").read_text()).body))
-             for name in ("numeric", "errors", "points", "invariants", "moduli", "varieties")}
+             for name in ("numeric", "errors", "points", "invariants", "moduli", "varieties",
+                          "sampling")}
     assert where == {"numeric": [], "errors": [], "points": [], "invariants": [],
-                     "moduli": ["function"], "varieties": []}
+                     "moduli": ["function"], "varieties": [],
+                     "sampling": ["type-checking", "function"]}
+
+
+def test_sampling_and_varieties_read_invariants_not_moduli():
+    # both run the forward map alone, which invariants holds; moduli's membership test and
+    # reconstruct are for other commands
+    src = Path(chquad.__file__).parent
+    for name in ("sampling", "varieties"):
+        assert not list(imports_of({"moduli"}, ast.parse((src / f"{name}.py").read_text()).body))
 
 
 def test_no_module_imports_dataclasses_inspect_or_csv_at_load():
@@ -379,10 +391,10 @@ LOADED = {
     "congruent": (POINTS_SIDE - {"moduli"}, 1230),
     "check-moduli": (POINTS_SIDE, 1461),
     "slice": (POINTS_SIDE - {"moduli"}, 1230),
-    "counterexample": (POINTS_SIDE | {"varieties"}, 1600),
+    "counterexample": (POINTS_SIDE - {"moduli"} | {"varieties"}, 1296),
     "reconstruct": (POINTS_SIDE | {"hermitian"}, 1782),
     "normalize": (POINTS_SIDE - {"moduli"} | {"hermitian", "gram"}, 1730),
-    "sample": (POINTS_SIDE | {"hermitian", "sampling"}, 1983),
+    "sample": (POINTS_SIDE - {"moduli"} | {"sampling"}, 1360),
     "malformed": ({"cli", "errors", "numeric"}, 647),
 }
 

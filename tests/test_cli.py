@@ -427,6 +427,8 @@ MALFORMED_POINTS = [
      "points[2]: missing key 'type'"),
     ("invariants", quadruple_text(FINE, FINE, FINE, "[1, 2]"),
      "points[3]: expected an object"),
+    ("invariants", quadruple_text(FINE, '{"type": "bogus"}', FINE, FINE),
+     "points[1].type: unknown point type 'bogus'"),
     ("invariants", '{"points": {}}', "points: expected a list"),
     ("congruent", '{"first": ' + quadruple_text(FINE, FINE, FINE, FINE)
      + ', "second": ' + quadruple_text(FINE, FINE, '{"type": "finite", "z": 1, "t": 0}', FINE)

@@ -199,6 +199,21 @@ def test_normal_form_rejects_non_finite_fields(fields):
         NormalizedGram(*fields)
 
 
+# points 1 and 3 coincide; the kernel reported that as an overflow or an underflow under
+# the first three configs
+COINCIDENT = (BoundaryPoint.finite([0.3], 0.1), BoundaryPoint.infinity(),
+              BoundaryPoint.finite([0.3], 0.1), BoundaryPoint.finite([1.0], 0.5))
+
+
+@pytest.mark.parametrize("tols", [(NAN, 1e-9), (-1.0, 0.0), (0.0, INF), (1e-9, NAN)])
+def test_a_tolerance_outside_zero_to_infinity_is_refused(tols):
+    with pytest.raises(InvalidParameter) as info:
+        moduli_coordinates(COINCIDENT, NumericConfig(*tols))
+    assert str(info.value) == f"abs_tol={tols[0]!r}, rel_tol={tols[1]!r}: need 0 <= tol < inf"
+    with pytest.raises(CoincidentPoints):
+        moduli_coordinates(COINCIDENT, NumericConfig(0, 0))
+
+
 BIG = complex(1.5e308, 1.5e308)  # finite parts, a modulus beyond the float range
 
 

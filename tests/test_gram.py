@@ -15,6 +15,7 @@ from chquad import (
     det_face,
     det_gram,
     gram_of,
+    gram_of_points,
     normalize,
     normalized_gram_of_points,
     standard_lift,
@@ -187,6 +188,13 @@ def test_normalize_degenerate_entry():
     entries[0, 1] = entries[1, 0] = 1e-15
     with pytest.raises((DegenerateEntry, CoincidentPoints)):
         normalize(GramMatrix(4, entries))
+
+
+def test_normalize_needs_a_quadruple():
+    p, _ = counterexample_pair(2.0)
+    with pytest.raises(InvalidParameter,
+                       match=r"^normalization is defined for quadruples \(m=4\)$"):
+        normalize(gram_of_points(p[:3]))
 
 
 def test_congruence_under_isometry():

@@ -290,6 +290,14 @@ def test_isometry_rejects_non_preserving_matrix():
         Isometry(2, np.full((3, 3), 1e150))
 
 
+def test_isometry_dimensions_must_agree():
+    with pytest.raises(DimensionMismatch, match=r"^expected a 3x3 matrix, got \(2, 2\)$"):
+        Isometry(2, np.eye(2))
+    with pytest.raises(DimensionMismatch,
+                       match="^cannot compose isometries of different dimension$"):
+        Isometry(2, np.eye(3)) @ Isometry(3, np.eye(4))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_isometry_rejects_non_finite_matrix(value):
     with pytest.raises(NotIsometry, match="finite"):
@@ -330,6 +338,10 @@ def test_mirror_point():
     assert BoundaryPoint.infinity().mirror().at_infinity
     P = standard_lift(p, 2)
     assert standard_lift(p.mirror(), 2).proportional_to(P.conjugated())
+
+
+def test_points_of_different_dimensions_are_not_close():
+    assert not BoundaryPoint.finite([0], 0).isclose(BoundaryPoint.finite([0, 0], 0))
 
 
 def test_json_round_trip():

@@ -21,6 +21,7 @@ from chquad import (
     cartan_from_lifts,
     congruent_antiholomorphic,
     congruent_holomorphic,
+    certify_noninjectivity,
     counterexample_pair,
     cross_ratio,
     cross_ratio_from_lifts,
@@ -135,6 +136,7 @@ def count_calls(monkeypatch, module, name):
     pytest.param(lambda p: cartan(*p[:3]), 1, 0, id="cartan"),
     pytest.param(lambda p: cross_ratio(*p), 1, 0, id="cross_ratio"),
     pytest.param(lambda p: congruent_holomorphic(p, p), 2, 0, id="congruent_holomorphic"),
+    pytest.param(lambda p: certify_noninjectivity(2.0), 2, 0, id="certify_noninjectivity"),
 ])
 def test_one_gram_per_quadruple(monkeypatch, invariant, runs, objects):
     # one closed-form kernel run per quadruple, which reads the points itself: no lift,

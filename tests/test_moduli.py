@@ -148,6 +148,11 @@ def test_reconstruct_strict_inequality_needs_higher_dimension():
         assert det_face(ng, face) <= 1e-9
 
 
+def test_reconstruct_needs_n_of_at_least_two():
+    with pytest.raises(InvalidParameter, match="^reconstruction is defined for n >= 2, got 1$"):
+        reconstruct(ModuliPoint(1.0, 1.0, 0.0), 1)
+
+
 def test_reconstruct_higher_ambient_dimension():
     rng = np.random.default_rng(42)
     m = moduli_coordinates(random_quadruple(3, "generic", rng))
