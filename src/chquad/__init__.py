@@ -28,13 +28,12 @@ _EXPORTS = {
     ),
     "invariants": (
         "CrossRatioTriple", "FACES", "ModuliPoint", "cartan", "congruent_antiholomorphic",
-        "congruent_holomorphic", "cross_ratio", "cross_ratio_triple", "det_from_moduli",
-        "face_dets_from_moduli",
+        "congruent_holomorphic", "cross_ratio", "cross_ratio_triple",
     ),
     "moduli": (
-        "ClassificationReport", "classify", "in_moduli_space", "moduli_coordinates",
-        "moduli_residual", "positivity_check", "real_slice_residual", "reconstruct",
-        "residual_scale",
+        "ClassificationReport", "classify", "det_from_moduli", "face_dets_from_moduli",
+        "in_moduli_space", "moduli_coordinates", "moduli_residual", "positivity_check",
+        "real_slice_residual", "reconstruct", "residual_scale",
     ),
     "numeric": ("NumericConfig", "resolve", "small"),
     "points": ("BoundaryPoint", "infer_dimension"),

@@ -100,8 +100,7 @@ def _quadruple_json(n: int, points) -> dict:
     return {"n": n, "points": [p.to_json() for p in points]}
 
 
-def _cmd_invariants(args, cfg):
-    obj = _read_json(args)
+def _cmd_invariants(obj, cfg):
     from .invariants import _cross_ratios, _moduli, _quadruple_gram
     from .moduli import classify
     from .points import infer_dimension
@@ -118,8 +117,7 @@ def _cmd_invariants(args, cfg):
     }
 
 
-def _cmd_normalize(args, cfg):
-    obj = _read_json(args)
+def _cmd_normalize(obj, cfg):
     from .gram import gram_of, normalize
     from .hermitian import HermitianVector
     from .points import _json_field, _json_list
@@ -129,8 +127,7 @@ def _cmd_normalize(args, cfg):
     return {"gram": G.to_json(), "normalized": normalize(G, cfg).to_json()}
 
 
-def _cmd_reconstruct(args, cfg):
-    obj = _read_json(args)
+def _cmd_reconstruct(obj, cfg):
     from .hermitian import point_from_lift
     from .invariants import ModuliPoint
     from .moduli import reconstruct
@@ -146,8 +143,7 @@ def _cmd_reconstruct(args, cfg):
     return out
 
 
-def _cmd_check_moduli(args, cfg):
-    obj = _read_json(args)
+def _cmd_check_moduli(obj, cfg):
     from .invariants import ModuliPoint
     from .moduli import _positivity, in_moduli_space, moduli_residual
     from .points import _json_field
@@ -165,8 +161,7 @@ def _cmd_check_moduli(args, cfg):
     }
 
 
-def _cmd_congruent(args, cfg):
-    obj = _read_json(args)
+def _cmd_congruent(obj, cfg):
     from .invariants import congruent_antiholomorphic, congruent_holomorphic
     from .points import _json_field
 
@@ -241,8 +236,8 @@ def _kind(value: str) -> str:
     return value
 
 
-# command -> (handler name, help line, {flag: (type, default)}), a default of None marking
-# a required flag; main looks the handler up by name when the command runs
+# command -> (handler name, help line, {flag: (type, default)}), a default of None marking a
+# required flag; main calls the handler by name, on the --input JSON if it has one, else on args
 _INPUT = {"input": (str, "-")}
 COMMANDS = {
     "invariants": ("_cmd_invariants", "quadruple -> moduli, cross-ratios, classification",
@@ -339,7 +334,8 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 < args.tol < math.inf:
             raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         cfg = NumericConfig() if args.tol is None else NumericConfig(args.tol, args.tol)
-        payload = globals()[COMMANDS[command][0]](args, cfg)
+        name, _, flags = COMMANDS[command]
+        payload = globals()[name](_read_json(args) if "input" in flags else args, cfg)
         text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False)
     except GeometryError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}))

@@ -103,8 +103,8 @@ def _set_gram(G: GramMatrix, m: int, rows: tuple, cfg: NumericConfig | None):
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     """Gram matrix of three or four null lifts.
 
-    Points i and j coincide when |<P_i, P_j>| <= tol(s_i s_j), s_i the largest
-    coordinate magnitude of lift i: the package's one rule for distinct points.
+    Lifts i and j coincide when |<P_i, P_j>| <= tol(s_i s_j), s_i the largest coordinate
+    magnitude of lift i; ``points._points_rows`` holds points to a rule of their own.
     """
     c = resolve(cfg)
     return _wrap(_gram(lifts, c), c)
@@ -136,7 +136,7 @@ def _gram(lifts, c: NumericConfig) -> tuple:
     ``gram_of``'s rule and for a subnormal modulus (UnderflowError), and
     last that every product is finite.
     """
-    _check_count(len(lifts))
+    _check_count(len(lifts), "lifts")
     if any(P.n != lifts[0].n for P in lifts):
         raise DimensionMismatch("lifts live in different dimensions")
     coords, scales = [P.values for P in lifts], [P.scale() for P in lifts]

@@ -242,19 +242,6 @@ def _residual(x1: complex, x2: complex, a: float) -> tuple:
     raise OverflowError(f"F leaves the float range at |X1| = {abs(x1)!r}, |X2| = {abs(x2)!r}")
 
 
-def _x2_squared(r2: float) -> float:
-    """|X2|^2 of |X2| = r2, a divisor of the determinants; UnderflowError below the normal range."""
-    x2_sq = r2 ** 2
-    if x2_sq < _TINY:
-        raise UnderflowError(f"|X2| = {r2!r}: |X2|^2 lies below the normal float range")
-    return x2_sq
-
-
-def det_from_moduli(m: ModuliPoint) -> float:
-    """Determinant of the Gram normal form, in moduli coordinates: F / |X2|^2."""
-    return _residual(m.x1, m.x2, m.cartan)[0] / _x2_squared(abs(m.x2))
-
-
 def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
     """The four face determinants of the normal form with free entries g13, g14, g24.
 
@@ -263,12 +250,6 @@ def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
     """
     return (2.0 * g13.real, 2.0 * (g24 * g14.conjugate()).real,
             2.0 * (g13 * g14.conjugate()).real, 2.0 * g24.real)
-
-
-def face_dets_from_moduli(m: ModuliPoint) -> tuple:
-    """The four face determinants in moduli coordinates, in the order of ``FACES``."""
-    _x2_squared(min(abs(m.x2), 1.0))  # the underflow rule: a |X2| >= 1 does not underflow
-    return _face_dets(*_dictionary(m.x1, m.x2, m.cartan))
 
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:

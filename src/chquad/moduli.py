@@ -26,11 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated
+from .errors import (InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated,
+                     UnderflowError)
 from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _dictionary, _face_dets, _moduli,
-                         _quadruple_gram, _residual, _x2_squared)
+                         _quadruple_gram, _residual)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
-from .points import _dimension
+from .points import _TINY, _dimension
 
 
 def moduli_coordinates(points, cfg: NumericConfig | None = None) -> ModuliPoint:
@@ -50,6 +51,25 @@ def moduli_residual(m: ModuliPoint) -> float:
 def residual_scale(m: ModuliPoint) -> float:
     """Natural magnitude 1 + |X1|^2 + |X2|^2 of F at m, used to scale tolerance checks."""
     return _residual(m.x1, m.x2, m.cartan)[1]
+
+
+def _x2_squared(r2: float) -> float:
+    """|X2|^2 of |X2| = r2, a divisor of the determinants; UnderflowError below the normal range."""
+    x2_sq = r2 ** 2
+    if x2_sq < _TINY:
+        raise UnderflowError(f"|X2| = {r2!r}: |X2|^2 lies below the normal float range")
+    return x2_sq
+
+
+def det_from_moduli(m: ModuliPoint) -> float:
+    """Determinant of the Gram normal form, in moduli coordinates: F / |X2|^2."""
+    return moduli_residual(m) / _x2_squared(abs(m.x2))
+
+
+def face_dets_from_moduli(m: ModuliPoint) -> tuple:
+    """The four face determinants in moduli coordinates, in the order of ``FACES``."""
+    _x2_squared(min(abs(m.x2), 1.0))  # the underflow rule: a |X2| >= 1 does not underflow
+    return _face_dets(*_dictionary(m.x1, m.x2, m.cartan))
 
 
 def real_slice_residual(x1: float, x2: float, a: float) -> float:

@@ -152,9 +152,9 @@ def _reads(points) -> tuple:
     return reads, width
 
 
-def _check_count(m: int):
+def _check_count(m: int, what: str):
     if m not in (3, 4):
-        raise InvalidParameter(f"expected 3 or 4 lifts, got {m}")
+        raise InvalidParameter(f"expected 3 or 4 {what}, got {m}")
 
 
 def _underflow(i: int, j: int, size: float) -> UnderflowError:
@@ -178,7 +178,7 @@ def _points_rows(points, c: NumericConfig) -> tuple:
     """
     reads, width = _reads(points)
     m = len(points)
-    _check_count(m)
+    _check_count(m, "points")
     a, r, reals = c.abs_tol, c.rel_tol, range(0, width, 2)  # where flat holds real parts
     upper = []
     for i in range(m - 1):

@@ -83,9 +83,9 @@ def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):
 def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     """Four pairwise-distinct boundary points of the requested kind.
 
-    Redrawn from the same stream until ``moduli_coordinates`` accepts
-    the draw with ``cfg``: no two points coincide by ``gram_of``'s rule,
-    and X1 and X2 pass ``ModuliPoint``'s guard.
+    Redrawn from the same stream until ``moduli_coordinates`` accepts the draw with
+    ``cfg``: no two points coincide by the rule of ``points._points_rows``, and X1 and
+    X2 pass ``ModuliPoint``'s guard.
     """
     if kind not in KINDS:
         raise InvalidParameter(f"unknown kind {kind!r}; choose one of {KINDS}")

@@ -323,10 +323,13 @@ def run_cli_fresh(*argvs):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
+INPUT_COMMANDS = ("invariants", "normalize", "reconstruct", "check-moduli", "congruent")
+
+
 @pytest.fixture
 def cli_argvs(tmp_path):
-    """One argv per command, with its input written under tmp_path; "malformed" is
-    `invariants` on truncated JSON."""
+    """One argv per command, with its input written under tmp_path; "malformed" is a list
+    of argvs, each command that reads --input on truncated JSON."""
     def write(name, obj):
         path = tmp_path / name
         path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
@@ -335,6 +338,7 @@ def cli_argvs(tmp_path):
     quad = {"n": 3, "points": [p.to_json() for p in QUAD]}
     moduli = write("moduli.json", {"n": 3, "moduli": moduli_coordinates(QUAD).to_json()})
     lifts = {"lifts": [standard_lift(p, 3).scaled(0.5 + 2j).to_json() for p in QUAD]}
+    truncated = write("malformed.json", '{"n": 2, "points": [')
     return {
         "invariants": ["invariants", *write("quad.json", quad)],
         "congruent": ["congruent", *write("pair.json", {"first": quad, "second": quad})],
@@ -343,41 +347,42 @@ def cli_argvs(tmp_path):
         "normalize": ["normalize", *write("lifts.json", lifts)],
         "counterexample": ["counterexample", "--t", "2"],
         "slice": ["slice", "--a", "0.3", "--x1-steps", "3", "--x2-steps", "3"],
-        "malformed": ["invariants", *write("malformed.json", '{"n": 2, "points": [')],
+        "malformed": [[command, *truncated] for command in INPUT_COMMANDS],
         "sample": ["sample", "--n", "2", "--count", "1"],
     }
 
 
 def test_only_sample_loads_numpy(cli_argvs):
-    argvs = [argv for command, argv in cli_argvs.items() if command != "sample"]
-    assert run_cli_fresh(*argvs) == {"codes": [0, 0, 0, 0, 0, 0, 0, 2], "numpy": False}
+    argvs = [argv for command, argv in cli_argvs.items() if command not in ("sample", "malformed")]
+    assert run_cli_fresh(*argvs, *cli_argvs["malformed"]) == {"codes": [0] * 7 + [2] * 5,
+                                                              "numpy": False}
     sample = cli_argvs["sample"]
     assert run_cli_fresh(sample) == {"codes": [0], "numpy": True}
 
 
-# Imports chquad in a fresh interpreter, runs argv (if not null) through cli.main, and
-# reports main's exit code and every loaded module, on stderr.
+# Imports chquad in a fresh interpreter, runs each argv (if any) through cli.main, and
+# reports main's exit codes and every loaded module, on stderr.
 LOADS_SCRIPT = """
 import json, sys
 import chquad
-argv, code = json.loads(sys.argv[1]), None
-if argv is not None:
+argvs = json.loads(sys.argv[1])
+if argvs:
     import chquad.cli
-    code = chquad.cli.main(argv)
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+codes = [chquad.cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
-def loaded_by(argv):
+def loaded_by(*argvs):
     env = {**os.environ, "PYTHONPATH": str(Path(chquad.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, json.dumps(argv)], env=env,
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stderr.splitlines()[-1])
-    return result["code"], set(result["modules"])
+    return result["codes"], set(result["modules"])
 
 
 def test_import_chquad_loads_no_submodule():
-    code, modules = loaded_by(None)
+    _, modules = loaded_by()
     assert "chquad" in modules
     assert not {m for m in modules if m.startswith("chquad.")}
     assert not modules & {"dataclasses", "inspect", "numpy", "csv"}
@@ -406,8 +411,9 @@ def source_lines(module: str) -> int:
 
 @pytest.mark.parametrize("command", list(LOADED))
 def test_each_command_loads_only_what_it_runs(cli_argvs, command):
-    code, modules = loaded_by(cli_argvs[command])
-    assert code == (2 if command == "malformed" else 0)
+    argvs = cli_argvs[command] if command == "malformed" else [cli_argvs[command]]
+    codes, modules = loaded_by(*argvs)
+    assert codes == [2 if command == "malformed" else 0] * len(argvs)
     ours = {m for m in modules if m == "chquad" or m.startswith("chquad.")}
     names, lines = LOADED[command]
     assert ours == {"chquad"} | {f"chquad.{name}" for name in names}

@@ -164,6 +164,15 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["invariants", "normalize", "reconstruct", "check-moduli",
+                                     "congruent"])
+def test_a_missing_input_file_exits_two(capsys, command):
+    code, out = run(capsys, command, "--input", "/nonexistent/q.json")
+    assert code == 2
+    assert out == ('{"error": "malformed-input", "detail": "[Errno 2] No such file or directory: '
+                   "'/nonexistent/q.json'\"}\n")
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     bad = {"n": 2, "moduli": {"x1": [1.0, 0.0], "x2": [1.0, 0.0], "a": 0.0}}
     path = write(tmp_path, "m.json", bad)

@@ -143,12 +143,14 @@ BAD = {
 
 # where the points path's error differs from the lifts path's: the lifts path
 # reports the NaN t of a lift as not null and names the overflow of |z|^2 or of a
-# product, the points path the pair whose entry leaves the float range
+# product, the points path the pair whose entry leaves the float range; each path's
+# count check names what it counts
 CHANGED = {
     "z = 1e200": (OverflowError, "<P1,P3> overflows for coordinates of magnitude 1e+200"),
     "NaN t": (InvalidParameter, "Gram matrix entries must be finite"),
     "|lift| overflows": (OverflowError,
                          "<P1,P3> overflows for coordinates of magnitude 1.5e+308"),
+    "five points": (InvalidParameter, "expected 3 or 4 points, got 5"),
 }
 
 

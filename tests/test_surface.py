@@ -30,10 +30,10 @@ EXPORTS = {
                   "point_from_lift", "signature_basis", "standard_lift"],
     "invariants": ["CrossRatioTriple", "FACES", "ModuliPoint", "cartan",
                    "congruent_antiholomorphic", "congruent_holomorphic", "cross_ratio",
-                   "cross_ratio_triple", "det_from_moduli", "face_dets_from_moduli"],
-    "moduli": ["ClassificationReport", "classify", "in_moduli_space", "moduli_coordinates",
-               "moduli_residual", "positivity_check", "real_slice_residual", "reconstruct",
-               "residual_scale"],
+                   "cross_ratio_triple"],
+    "moduli": ["ClassificationReport", "classify", "det_from_moduli", "face_dets_from_moduli",
+               "in_moduli_space", "moduli_coordinates", "moduli_residual", "positivity_check",
+               "real_slice_residual", "reconstruct", "residual_scale"],
     "numeric": ["NumericConfig", "resolve", "small"],
     "points": ["BoundaryPoint", "infer_dimension"],
     "sampling": ["random_boundary_point", "random_chain_moduli", "random_isometry",
