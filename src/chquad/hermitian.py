@@ -18,7 +18,9 @@ With ``gram``, this is the lift side, above the points side (``points``,
 
 All values are immutable; all operations are pure functions.  Lifts
 store Python complex numbers, so numpy is imported only by the
-functions that build or read arrays.
+functions that build or read arrays.  ``HermitianVector``'s checks
+read outside input; ``moduli.reconstruct``'s lifts, whose numbers it
+computed itself, skip them (``_unchecked``; ``gram`` names the rest).
 """
 
 from __future__ import annotations
@@ -136,6 +138,14 @@ class HermitianVector(Frozen, compare=False):
         n = _json_int(_json_field(obj, "n", path), f"{path}.n")
         coords = _json_list(_json_field(obj, "coords", path), f"{path}.coords")
         return cls(n, [_json_complex(v, f"{path}.coords[{k}]") for k, v in enumerate(coords)])
+
+
+def _unchecked(n: int, values: tuple) -> HermitianVector:
+    """A HermitianVector of n + 1 Python complex numbers the package computed: no checks run."""
+    Z = object.__new__(HermitianVector)
+    _setattr(Z, "n", n)
+    _setattr(Z, "values", values)
+    return Z
 
 
 def _complex_row(values) -> tuple:

@@ -261,4 +261,14 @@ def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
 def congruent_antiholomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
     """Are two quadruples congruent under an anti-holomorphic isometry (X -> conj X, A -> -A)?"""
     mp, mq = (_moduli(_quadruple_gram(x, cfg), cfg) for x in (p, q))
-    return mp.isclose(ModuliPoint(mq.x1.conjugate(), mq.x2.conjugate(), -mq.cartan, cfg), cfg)
+    return mp.isclose(_mirror(mq), cfg)
+
+
+def _mirror(m: ModuliPoint) -> ModuliPoint:
+    """(conj X1, conj X2, -A) with m's config, unchecked: conjugation keeps |X1|, |X2| and
+    finiteness, so ModuliPoint's guard, which m has passed, would pass again."""
+    mirror = object.__new__(ModuliPoint)
+    for name, v in zip(("x1", "x2", "cartan", "cfg"),
+                       (m.x1.conjugate(), m.x2.conjugate(), -m.cartan, m.cfg)):
+        _setattr(mirror, name, v)
+    return mirror

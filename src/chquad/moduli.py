@@ -94,12 +94,16 @@ def in_moduli_space(m: ModuliPoint, n: int, cfg: NumericConfig | None = None) ->
     c, n = resolve(cfg), _dimension(n)
     if n < 2:
         raise InvalidParameter(f"moduli membership is defined for n >= 2, got {n}")
-    if abs(m.cartan) > HALF_PI + c.tol(1.0):
-        return False
-    if _positivity(m) < -c.tol(abs(m.x1)):
-        return False
+    return _membership(m, n, c) is not None
+
+
+def _membership(m: ModuliPoint, n: int, c: NumericConfig) -> float | None:
+    """F's scale 1 + |X1|^2 + |X2|^2 when m is a member in dimension n >= 2 under c, else None:
+    the one reading of F that ``in_moduli_space`` and ``reconstruct`` decide on."""
+    if abs(m.cartan) > HALF_PI + c.tol(1.0) or _positivity(m) < -c.tol(abs(m.x1)):
+        return None
     F, scale = _residual(m.x1, m.x2, m.cartan)
-    return (abs(F) if n == 2 else F) <= c.tol(scale)
+    return scale if (abs(F) if n == 2 else F) <= c.tol(scale) else None
 
 
 def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
@@ -116,18 +120,25 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     are scalars and the phase of w is rotated onto R, which is possible
     exactly on the F = 0 locus; for n >= 3 two coordinates of w absorb
     R and the leftover norm, which is possible exactly when F <= 0
-    (Cauchy-Schwarz).  Any choice of solution lands in the same
-    congruence class, so the canonical one below is as good as any.
+    (Cauchy-Schwarz, as |R|^2 - |z|^2 |w|^2 = F / |X2|^2).  Any choice
+    of solution lands in the same congruence class, so the canonical
+    one below is as good as any.  Within membership's tolerance |R| may
+    differ from |z||w| (n = 2) or exceed it (n >= 3); <z, w> then takes
+    R's phase and modulus |z||w|, and the lifts realize (X1, X2', A)
+    with |X2' - X2|^2 <= |F|.  When |z||w| <= tol(1) and
+    |R|^2 <= tol(scale / |X2|^2 + 1), w is left real, and X2 moves by
+    at most sqrt(tol(scale)) + 2 tol(1) |X2|.
     A |X2|^2 below the normal float range raises UnderflowError, and an
     anchor entry g14 or g24 outside the float range OverflowError or
     UnderflowError (``invariants._dictionary``).
     """
-    from .hermitian import HermitianVector  # the lift side, which only this function needs
+    from .hermitian import _unchecked  # the lift side, which only this function needs
 
     c, n = resolve(cfg), _dimension(n)
     if n < 2:
         raise InvalidParameter(f"reconstruction is defined for n >= 2, got {n}")
-    if not in_moduli_space(m, n, c):
+    scale = _membership(m, n, c)
+    if scale is None:
         raise NotInModuliSpace(f"{m} is not realized by any quadruple in dimension {n}")
 
     _check_nonzero(m.x1, m.x2, c)  # cfg's guard, which may be stricter than m's own
@@ -144,29 +155,20 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     w_norm = math.sqrt(max(ww, 0.0))
     ww = w_norm * w_norm
     R = 1.0 - z1 * w_last.conjugate() - w1.conjugate()
-    det_slack = c.tol(residual_scale(m) / x2_sq + 1.0)
 
-    zvec = [0j] * (n - 1)
-    wvec = [0j] * (n - 1)
-    zvec[0] = z_norm
-    if z_norm * w_norm <= c.tol(1.0):
-        # a vanishing coordinate forces <z, w> = 0, so R itself must vanish
-        if abs(R) ** 2 > det_slack:
-            raise InconsistentGram("unit Gram entry unreachable with a zero coordinate")
-        wvec[0] = w_norm
+    if z_norm * w_norm <= c.tol(1.0) and abs(R) ** 2 <= c.tol(scale / x2_sq + 1.0):
+        w = (complex(w_norm),)  # |z||w| vanishes and so does R, within tolerance: w stays real
     elif n == 2:
-        wvec[0] = w_norm * cmath.exp(-1j * cmath.phase(R))
+        w = (w_norm * cmath.exp(-1j * cmath.phase(R)),)
     else:
         mag = min(abs(R) / z_norm, w_norm)
-        if abs(R) > 0.0:
-            wvec[0] = mag * cmath.exp(-1j * cmath.phase(R))
-        wvec[1] = math.sqrt(ww - mag * mag)
+        w = (mag * cmath.exp(-1j * cmath.phase(R)) if abs(R) > 0.0 else 0j,
+             complex(math.sqrt(ww - mag * mag)))
 
-    P1 = [0j] * n + [1.0]
-    P2 = [1.0] + [0j] * n
-    P3 = [z1, *zvec, 1.0]
-    P4 = [w1, *wvec, w_last]
-    return [HermitianVector(n, v) for v in (P1, P2, P3, P4)]
+    zeros = (0j,) * n  # each lift as the n + 1 Python complex numbers HermitianVector stores
+    return [_unchecked(n, v) for v in (zeros + (1 + 0j,), (1 + 0j,) + zeros,
+                                       (z1, complex(z_norm), *zeros[2:], 1 + 0j),
+                                       (w1, *w, *zeros[len(w) + 1:], w_last))]
 
 
 class ClassificationReport(Frozen):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import cmath
 
 from .errors import CertificateFailure, InvalidParameter
-from .invariants import CrossRatioTriple, ModuliPoint, _cross_ratios, _moduli, _quadruple_gram
+from .invariants import (CrossRatioTriple, ModuliPoint, _cross_ratios, _mirror, _moduli,
+                         _quadruple_gram)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 from .points import BoundaryPoint
 
@@ -113,7 +114,7 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
     if holo:
         raise CertificateFailure("not-holomorphically-congruent",
                                  "the pair is congruent after all")
-    anti = mp.isclose(ModuliPoint(mq.x1.conjugate(), mq.x2.conjugate(), -mq.cartan, c), c)
+    anti = mp.isclose(_mirror(mq), c)  # congruent_antiholomorphic(p, q, c) likewise
     if not anti:
         raise CertificateFailure("antiholomorphically-congruent",
                                  "mirror congruence missing")

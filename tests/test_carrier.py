@@ -20,6 +20,7 @@ from chquad import (
     GramMatrix,
     HermitianVector,
     ModuliPoint,
+    NumericConfig,
     apply_isometry_point,
     classify,
     congruent_antiholomorphic,
@@ -207,13 +208,70 @@ def test_invariants_and_roundtrip_ops_call_no_numpy():
 
 
 def test_points_reach_the_gram_kernel_without_lift_objects():
-    # the points -> Gram path lifts to plain coordinate lists; only reconstruct's
-    # four output lifts are HermitianVectors
+    # the points -> Gram path lifts to plain coordinate lists; reconstruct builds its four
+    # output lifts without HermitianVector's checks on outside input
     assert checks(HermitianVector, invariants_op) == 0
-    assert checks(HermitianVector, roundtrip_op()) == 4
+    assert checks(HermitianVector, roundtrip_op()) == 0
     for kind in KINDS:
         rng = np.random.default_rng(7)
         assert checks(HermitianVector, lambda: random_quadruple(3, kind, rng)) == 0
+
+
+def test_the_inverse_path_checks_nothing_it_has_built():
+    # reconstruct reads F once, for membership and for its zero-coordinate branch; the
+    # anti-holomorphic congruence mirrors a moduli point whose guard has passed, unchecked
+    from chquad.invariants import _residual
+
+    m = moduli_coordinates(QUAD)
+    assert runs(_residual, lambda: reconstruct(m, 3)) == 1
+    assert runs(_residual, lambda: reconstruct(C_PLANE, 3)) == 1
+    assert checks(ModuliPoint, roundtrip_op()) == 6
+
+
+def reconstruct_corpus():
+    """(m, n, cfg): a quadruple of every kind at n = 2, 3, 4 under two configs, and chain
+    points on both branches of reconstruct: C_PLANE takes the zero-coordinate one, and a
+    member 1e-9 off A = -pi/2 at tol 1e-3 the rotation one."""
+    coarse = NumericConfig(1e-3, 1e-3)
+    corpus = [(C_PLANE, n, None) for n in (2, 3, 4)]
+    corpus += [(ModuliPoint(0.5, 0.5, math.pi / 2), n, None) for n in (2, 3, 4)]
+    chain = ModuliPoint(0.9565095874629154, -0.0017980407308533536 - 0.00516986191015801j,
+                        -1.5707963257948965, coarse)
+    corpus += [(chain, n, coarse) for n in (2, 3, 4)]
+    for cfg in (None, coarse):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4):
+            for kind in KINDS:
+                for _ in range(5):
+                    corpus.append((moduli_coordinates(random_quadruple(n, kind, rng, cfg), cfg),
+                                   n, cfg))
+    return corpus
+
+
+def test_reconstruct_builds_the_values_hermitian_vector_would_store():
+    for m, n, cfg in reconstruct_corpus():
+        for P in reconstruct(m, n, cfg):
+            assert type(P) is HermitianVector and P.n == n
+            assert isinstance(P.values, tuple) and len(P.values) == n + 1
+            assert all(type(v) is complex for v in P.values)
+            assert [bits(v) for v in P.values] == \
+                [bits(v) for v in HermitianVector(n, P.values).values]
+
+
+def test_the_unchecked_mirror_is_the_checked_one():
+    from chquad.invariants import _mirror
+
+    points = [m for m, _, _ in reconstruct_corpus()]
+    for m in points:
+        mirror = _mirror(m)
+        checked = ModuliPoint(m.x1.conjugate(), m.x2.conjugate(), -m.cartan, m.cfg)
+        assert mirror == checked and mirror.cfg is m.cfg
+        assert [bits(v) for v in (mirror.x1, mirror.x2, complex(mirror.cartan))] == \
+            [bits(v) for v in (checked.x1, checked.x2, complex(checked.cartan))]
+        for other in points[::7] + [checked, m]:
+            for cfg in (None, NumericConfig(1e-3, 1e-3)):
+                assert mirror.isclose(other, cfg) == checked.isclose(other, cfg)
+                assert other.isclose(mirror, cfg) == other.isclose(checked, cfg)
 
 
 def test_an_invariants_op_runs_no_gram_matrix_checks():
