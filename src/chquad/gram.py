@@ -9,8 +9,8 @@ A = arg(-conj(g13)), inverted by ``invariants._dictionary``; only the
 squares of g13 and g24 are determined by the cross-ratios alone, which
 is why A is part of the moduli data.
 
-The rows of G come from two kernels, each checking the entries above
-the diagonal in row order.  ``_gram`` takes the products of null lifts
+The rows of G come from two kernels, each checking the pairs i < j of
+``points._PAIRS`` in row order.  ``_gram`` takes the products of null lifts
 (``HermitianVector``s), checks each lift's nullity and holds each pair
 to tol(s_i s_j), s_i the scale of lift i; ``points._points_rows``
 evaluates the standard lifts' entries in closed form.  Four values are
@@ -35,7 +35,7 @@ from .hermitian import _complex_values, _form, _is_null, _numpy_shape, _read_onl
 from .invariants import (FACES, ModuliPoint, _cartan, _cross_ratio, _dictionary, _face_dets,
                          _moduli, congruent_antiholomorphic, congruent_holomorphic)
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
-from .points import (_TINY, _check_count, _hermitian_rows, _json_complex, _json_field,
+from .points import (_PAIRS, _TINY, _check_count, _hermitian_rows, _json_complex, _json_field,
                      _json_list, _points_rows, _underflow)
 
 if TYPE_CHECKING:
@@ -75,10 +75,9 @@ class GramMatrix(Frozen, compare=False):
             raise InvalidParameter("Gram matrix must be Hermitian")
         if any(abs(rows[i][i]) > tol for i in range(m)):
             raise NotNull("Gram diagonal must vanish (lifts must be isotropic)")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(rows[i][j]) <= tol:
-                    raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
+        for i, j in _PAIRS[m]:
+            if abs(rows[i][j]) <= tol:
+                raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
         _set_gram(self, m, rows, cfg)
 
     @property
@@ -146,20 +145,18 @@ def _gram(lifts, c: NumericConfig) -> tuple:
     for z, s in zip(coords, scales):
         if not _is_null(z, s, c):
             raise NotNull(f"lift is not isotropic: <P,P> = {_form(z, z)}")
-    m = len(lifts)
     upper, mags = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            g = _form(coords[i], coords[j])
-            upper.append(g)
-            try:
-                mags.append(abs(g))
-            except OverflowError:  # |g| of finite parts beyond the float range
-                raise _overflow((f"<P{i + 1},P{j + 1}>", g)) from None
-            if mags[-1] <= c.tol(scales[i] * scales[j]):
-                raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
-            if mags[-1] < _TINY:
-                raise _underflow(i, j, mags[-1])
+    for i, j in _PAIRS[len(lifts)]:
+        g = _form(coords[i], coords[j])
+        upper.append(g)
+        try:
+            mags.append(abs(g))
+        except OverflowError:  # |g| of finite parts beyond the float range
+            raise _overflow((f"<P{i + 1},P{j + 1}>", g)) from None
+        if mags[-1] <= c.tol(scales[i] * scales[j]):
+            raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+        if mags[-1] < _TINY:
+            raise _underflow(i, j, mags[-1])
     if not all(map(math.isfinite, mags)):
         raise InvalidParameter("Gram matrix entries must be finite")
     return _hermitian_rows(upper)

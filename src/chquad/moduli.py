@@ -127,7 +127,10 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     R's phase and modulus |z||w|, and the lifts realize (X1, X2', A)
     with |X2' - X2|^2 <= |F|.  When |z||w| <= tol(1) and
     |R|^2 <= tol(scale / |X2|^2 + 1), w is left real, and X2 moves by
-    at most sqrt(tol(scale)) + 2 tol(1) |X2|.
+    at most sqrt(tol(scale)) + 2 tol(1) |X2|.  |w|^2 is 2 Re(X1 e^{-iA}) / |X2|^2, which
+    membership holds only to -2 tol(|X1|) / |X2|^2.  Where |w|^2 < -tol(max(|g14|, |g24|)^2),
+    P4 would not be null: g24 is then read off the projection X1' = X1 - Re(X1 e^{-iA}) e^{iA}
+    (|w|^2 = 0), at most tol(|X1|) from X1, plus |X1| times A's clamp.
     A |X2|^2 below the normal float range raises UnderflowError, and an
     anchor entry g14 or g24 outside the float range OverflowError or
     UnderflowError (``invariants._dictionary``).
@@ -143,11 +146,15 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
 
     _check_nonzero(m.x1, m.x2, c)  # cfg's guard, which may be stricter than m's own
     x2_sq = _x2_squared(abs(m.x2))
-    g13, g14, g24 = _dictionary(m.x1, m.x2, min(max(m.cartan, -HALF_PI), HALF_PI))
-    z1, w1, w_last = g13.conjugate(), g14.conjugate(), g24.conjugate()
-
+    a = min(max(m.cartan, -HALF_PI), HALF_PI)
+    g13, g14, g24 = _dictionary(m.x1, m.x2, a)
     d123, d124 = _face_dets(g13, g14, g24)[:2]
     zz, ww = -d123, -d124
+    if ww < 0.0 and -ww > c.tol(max(abs(g14) * abs(g14), abs(g24) * abs(g24))):
+        e = cmath.exp(1j * a)  # P4 would not be null: X1 drops Re(X1 e^{-iA}) < 0
+        g24 = _dictionary(m.x1 - (m.x1 * e.conjugate()).real * e, m.x2, a)[2]
+        ww = -_face_dets(g13, g14, g24)[1]
+    z1, w1, w_last = g13.conjugate(), g14.conjugate(), g24.conjugate()
     ww_slack = 2.0 * c.tol(abs(m.x1)) / x2_sq + c.abs_tol
     if zz < 0.0 or ww < -ww_slack:
         raise InconsistentGram("negative squared norm; input is off the moduli space")

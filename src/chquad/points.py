@@ -4,7 +4,8 @@ A finite boundary point of complex hyperbolic n-space carries coordinates
 (z, t) with z in C^{n-1} and t real; one distinguished point sits at
 infinity.  The Gram matrix of the points' standard lifts (see
 ``hermitian``) has a closed form in these coordinates, which
-``_points_rows`` evaluates without building a lift.
+``_points_rows`` evaluates without building a lift.  It and every other
+loop over the pairs i < j, on both sides, walk one table: ``_PAIRS``, in row order.
 
 This module, with the JSON readers every ``from_json`` shares and
 ``_dimension``, the one rule of every public ``n`` on both sides, is the
@@ -21,6 +22,8 @@ from .errors import CoincidentPoints, DimensionMismatch, InvalidParameter, Under
 from .numeric import Frozen, NumericConfig, _close, _overflow, _setattr, resolve
 
 _TINY = sys.float_info.min  # the smallest normal float
+# the pairs i < j of three or four points (or lifts) in row order: g12, g13, ...
+_PAIRS = {3: ((0, 1), (0, 2), (1, 2)), 4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
 
 
 def _json_field(obj, key: str, path: str):
@@ -179,39 +182,38 @@ def _points_rows(points, c: NumericConfig) -> tuple:
     reads, width = _reads(points)
     m = len(points)
     _check_count(m, "points")
-    a, r, reals = c.abs_tol, c.rel_tol, range(0, width, 2)  # where flat holds real parts
+    a, r, r2, reals = c.abs_tol, c.rel_tol, 2.0 * c.rel_tol, range(0, width, 2)
+    sqrt, inf = math.sqrt, math.inf  # r2 * s is 2.0 * r * s, which groups from the left
     upper = []
-    for i in range(m - 1):
-        u = reads[i]
-        for j in range(i + 1, m):
-            v = reads[j]
-            if u is None or v is None:
-                if u is v:
-                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
-                g = 1 + 0j
-            else:
-                pz, pt, _ = u
-                qz, qt, norm = v
-                dz2 = im = 0.0
-                for k in reals:  # one coordinate's real and imaginary parts
-                    qr, qi = qz[k], qz[k + 1]
-                    dr, di = pz[k] - qr, pz[k + 1] - qi
-                    dz2 += dr * dr + di * di
-                    im += di * qr - dr * qi
-                dt = pt - qt
-                g = complex(0.0 - dz2, dt + 2.0 * im)  # 0.0 - 0.0 is +0.0, as <P_i, P_j> gives
-                try:
-                    size = abs(g)
-                except OverflowError:  # |g| of finite parts beyond the float range
-                    size = math.inf
-                bound = a + r * dz2 + r * abs(dt) + 2.0 * r * math.sqrt(dz2) * norm
-                if not size < math.inf > bound:  # also when either is NaN
-                    raise _out_of_range(pz + qz + [pt, qt], i, j)
-                if size <= bound:
-                    raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
-                if size < _TINY:
-                    raise _underflow(i, j, size)
-            upper.append(g)
+    for i, j in _PAIRS[m]:
+        u, v = reads[i], reads[j]
+        if u is None or v is None:
+            if u is v:
+                raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+            upper.append(1 + 0j)
+            continue
+        pz, pt, _ = u
+        qz, qt, norm = v
+        dz2 = im = 0.0
+        for k in reals:  # one coordinate's real and imaginary parts
+            qr, qi = qz[k], qz[k + 1]
+            dr, di = pz[k] - qr, pz[k + 1] - qi
+            dz2 += dr * dr + di * di
+            im += di * qr - dr * qi
+        dt = pt - qt
+        g = complex(0.0 - dz2, dt + 2.0 * im)  # 0.0 - 0.0 is +0.0, as <P_i, P_j> gives
+        try:
+            size = abs(g)
+        except OverflowError:  # |g| of finite parts beyond the float range
+            size = inf
+        bound = a + r * dz2 + r * abs(dt) + r2 * sqrt(dz2) * norm
+        if not size < inf > bound:  # also when either is NaN
+            raise _out_of_range(pz + qz + [pt, qt], i, j)
+        if size <= bound:
+            raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
+        if size < _TINY:
+            raise _underflow(i, j, size)
+        upper.append(g)
     return _hermitian_rows(upper)
 
 

@@ -24,7 +24,7 @@ from .errors import CertificateFailure, InvalidParameter
 from .invariants import (CrossRatioTriple, ModuliPoint, _cross_ratios, _mirror, _moduli,
                          _quadruple_gram)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
-from .points import BoundaryPoint
+from .points import _PAIRS, BoundaryPoint
 
 
 def variety_residuals(x: CrossRatioTriple):
@@ -56,8 +56,7 @@ def counterexample_pair(t: float, cfg: NumericConfig | None = None):
 
 
 def _product_table(g) -> dict:
-    return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag]
-            for i in range(4) for j in range(i + 1, 4)}
+    return {f"{i + 1}{j + 1}": [g[i][j].real, g[i][j].imag] for i, j in _PAIRS[4]}
 
 
 class Certificate(Frozen):
