@@ -191,12 +191,13 @@ def _cmd_sample(args, cfg):
 
     # one child per record, as spawn(count) would give, without holding count children
     root = np.random.SeedSequence(args.seed)
+    encode = json.JSONEncoder(allow_nan=False).encode  # what json.dumps(..., allow_nan=False) runs
     for index in range(args.count):
         (child,) = root.spawn(1)
         points = random_quadruple(args.n, args.kind, np.random.default_rng(child), cfg)
         line = {"n": args.n, "kind": args.kind, "seed": args.seed, "index": index}
         line.update(_quadruple_json(args.n, points))
-        print(json.dumps(line, allow_nan=False))
+        print(encode(line))
     return None
 
 

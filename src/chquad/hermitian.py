@@ -48,8 +48,7 @@ def form_matrix(n: int) -> np.ndarray:
 
     n = _dimension(n)
     J = np.zeros((n + 1, n + 1), dtype=complex)
-    J[0, n] = 1.0
-    J[n, 0] = 1.0
+    J[0, n] = J[n, 0] = 1.0
     for i in range(1, n):
         J[i, i] = 1.0
     return J
@@ -68,8 +67,7 @@ def signature_basis(n: int) -> np.ndarray:
     C[0, 0] = C[n, 0] = 1.0 / _SQRT2
     for i in range(1, n):
         C[i, i] = 1.0
-    C[0, n] = 1.0 / _SQRT2
-    C[n, n] = -1.0 / _SQRT2
+    C[0, n], C[n, n] = 1.0 / _SQRT2, -1.0 / _SQRT2
     return C
 
 
@@ -227,8 +225,9 @@ def _is_null(z, s: float, c: NumericConfig) -> bool:
     By the range rule, s^2 is taken as it reads while s lies in the window;
     below it, where s^2 would lose bits or vanish, z and s are first scaled
     exactly by 2^-e, e the exponent of s, and abs_tol with them by 4^-e.
-    Raises OverflowError when s is finite but <z, z> is not, as a finite
-    input then has no defined verdict.
+    Under rel_tol = 0 the bound is abs_tol alone, with no 0 * inf = NaN
+    above the window.  Raises OverflowError when s is finite but <z, z>
+    is not, as a finite input then has no defined verdict.
     """
     floor = c.abs_tol
     if s < _LO:
@@ -238,7 +237,7 @@ def _is_null(z, s: float, c: NumericConfig) -> bool:
     form = abs(_form(z, z))
     if math.isfinite(s) and not math.isfinite(form):
         raise OverflowError(f"<Z,Z> overflows for coordinates of magnitude {s}")
-    return form <= floor + c.rel_tol * (s * s)
+    return form <= (floor + c.rel_tol * (s * s) if c.rel_tol else floor)
 
 
 def _lift(p: BoundaryPoint, n: int) -> list:
@@ -249,8 +248,10 @@ def _lift(p: BoundaryPoint, n: int) -> list:
         raise DimensionMismatch(
             f"finite point with {len(p.z)} z-coordinates does not live in dimension {n}"
         )
+    zz = 0  # summed left to right, as sum() did before Python 3.12 compensated float sums
     try:
-        zz = sum(abs(v) ** 2 for v in p.z)
+        for v in p.z:
+            zz += abs(v) ** 2
     except OverflowError:  # a square beyond the float range
         zz = math.inf
     if zz == math.inf:

@@ -4,8 +4,12 @@ Coordinates are drawn from standard normals (a documented but
 arbitrary choice; nothing downstream may depend on the distribution,
 only on validity, which ``moduli_coordinates`` decides).  Every
 function is deterministic given a seed, and callers own their
-generator streams.  numpy is imported by the functions that draw, so
-that importing the module does not load it.
+generator streams.  Where a sampler knows it will read several values
+of one kind, it fetches them in one generator call: numpy fills an
+array with the routine a scalar call runs, value by value, so the
+values and the stream position are those of one call per value.
+numpy is imported by the functions that draw, so that importing the
+module does not load it.
 """
 
 from __future__ import annotations
@@ -108,19 +112,24 @@ def random_isometry(n: int, rng) -> Isometry:
 
     Gram-Schmidt with respect to the indefinite form, run in the basis
     that diagonalizes it to diag(1, ..., 1, -1); the negative-norm
-    vector is handled last.  Each candidate column takes one draw of
-    2(n + 1) standard normals, the real parts then the imaginary parts;
-    columns whose projected norm collapses are redrawn from the same
-    stream.  The projections run on Python complex numbers, and so does
-    the change back to the form's own basis, C U C* for C the
-    ``signature_basis``: C mixes only coordinates 0 and n.  ``Isometry``
-    validates the result.
+    vector is handled last.  Each candidate column reads 2(n + 1)
+    standard normals, the real parts then the imaginary parts; columns
+    whose projected norm collapses are redrawn from the same stream.
+    When its normals run out, column k fetches those of n + 1 - k
+    candidates in one call, one for each column still to accept, so
+    every fetched normal is read, across a restart of the basis too,
+    unless ``DegenerateBasis`` is raised.  The projections run on Python
+    complex numbers, and so does the change back to the form's own
+    basis, C U C* for C the ``signature_basis``: C mixes only
+    coordinates 0 and n.  ``Isometry`` validates the result.
     """
     from .hermitian import Isometry  # the lift side, which only this function needs
 
     n = _dimension(n)
     normal = _rng(rng).standard_normal
     d = [1.0] * n + [-1.0]
+    size = 2 * n + 2
+    x, at = [], 0  # the fetched normals and the next candidate's offset in them
     for _ in range(50):
         # (u, w): a unit column u of form norm eps and w_i = eps d_i conj(u_i),
         # so that the coefficient of the projection onto u is sum_i v_i w_i
@@ -128,8 +137,10 @@ def random_isometry(n: int, rng) -> Isometry:
         for k in range(n + 1):
             eps = d[k]
             for _ in range(50):
-                x = normal(2 * n + 2).tolist()
-                v = list(map(complex, x[:n + 1], x[n + 1:]))
+                if at == len(x):
+                    x, at = normal((n + 1 - k) * size).tolist(), 0
+                v = list(map(complex, x[at:at + n + 1], x[at + n + 1:at + size]))
+                at += size
                 for u, w in cols:
                     c = 0j
                     for t in map(mul, v, w):
@@ -159,7 +170,8 @@ def random_isometry(n: int, rng) -> Isometry:
 def random_moduli_point(rng) -> ModuliPoint:
     """A random point on the F = 0 locus with |A| < pi/2 - MARGIN.
 
-    Draws X1, A and the phase of X2, then solves the real quadratic
+    Draws X1 (two normals in one call), A and the phase of X2 (two
+    uniforms in one call), then solves the real quadratic
     r^2 - 2 b r + |X1 - 1|^2 = 0 for r = |X2| and keeps a positive
     root; redraws whenever no positive root exists.
     """
@@ -171,8 +183,9 @@ def random_moduli_point(rng) -> ModuliPoint:
         x1 = complex(*normal(2).tolist())
         if abs(x1) < 0.05:
             continue
-        a = low + span * random()
-        phi = -math.pi + 2.0 * math.pi * random()
+        ua, uphi = random(2).tolist()
+        a = low + span * ua
+        phi = -math.pi + 2.0 * math.pi * uphi
         b = math.cos(phi) + (x1 * cmath.exp(-1j * (phi + 2.0 * a))).real
         disc = b * b - abs(x1 - 1.0) ** 2
         if b <= 1e-6 or disc < 0.0:

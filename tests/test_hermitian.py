@@ -12,6 +12,7 @@ from chquad import (
     ModuliPoint,
     NotIsometry,
     NotNull,
+    NumericConfig,
     ZeroVector,
     apply_isometry_point,
     form_matrix,
@@ -108,6 +109,15 @@ def test_null_test_raises_on_overflow():
     for coords in ((1, math.nan, 0), (math.nan, 1, 0)):  # NaN is not an overflow
         with pytest.raises(NotNull):
             point_from_lift(vec(2, *coords))
+
+
+@pytest.mark.parametrize("s", [1e150, 1.34e154, 1.35e154, 1e155, 1e200, 1.5e308])
+def test_an_exactly_null_lift_is_null_under_zero_rel_tol_at_every_scale(s):
+    # s * s overflows above ~1.34e154; the bound must not read 0 * inf = NaN there
+    zero = NumericConfig(0.0, 0.0)
+    assert vec(2, s, 0, 0).is_null(zero)
+    assert point_from_lift(vec(2, s, 0, 0), zero).at_infinity
+    assert not vec(2, s, 0, 0.25).is_null(zero)  # <Z,Z> = s/2, finite and positive
 
 
 @pytest.mark.parametrize("z,magnitude", [
