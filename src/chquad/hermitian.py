@@ -272,7 +272,7 @@ def _point(z, cfg: NumericConfig | None) -> BoundaryPoint:
     if abs(last) <= c.tol(s):
         return BoundaryPoint.infinity()
     # z holds Python complex numbers: the quotients need no conversion by finite()
-    return BoundaryPoint(False, tuple([v / last / _SQRT2 for v in z[1:-1]]), (z[0] / last).imag)
+    return BoundaryPoint(False, [v / last / _SQRT2 for v in z[1:-1]], (z[0] / last).imag)
 
 
 def standard_lift(p: BoundaryPoint, n: int) -> HermitianVector:

@@ -29,7 +29,10 @@ class Frozen:
     order and which ``==`` and ``hash`` compare; ``compare=False`` in the
     class statement keeps identity equality instead.  Its ``__init__``
     sets each field with ``_setattr``; setting or deleting an attribute
-    afterwards raises ``dataclasses.FrozenInstanceError``.
+    afterwards raises ``dataclasses.FrozenInstanceError``.  A value may
+    also carry a read of its own fields, independent of any config, set
+    once with ``_setattr`` on first use and outside ``_fields``, so ``==``,
+    ``hash``, ``repr`` and JSON never see it (``BoundaryPoint._read``).
     """
 
     __slots__ = ()

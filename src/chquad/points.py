@@ -3,9 +3,10 @@
 A finite boundary point of complex hyperbolic n-space carries coordinates
 (z, t) with z in C^{n-1} and t real; one distinguished point sits at
 infinity.  The Gram matrix of the points' standard lifts (see
-``hermitian``) has a closed form in these coordinates, which
-``_points_rows`` evaluates without building a lift.  It and every other
-loop over the pairs i < j, on both sides, walk one table: ``_PAIRS``, in row order.
+``hermitian``) has a closed form in these coordinates, which ``_points_rows``
+evaluates without building a lift; a finite point keeps the read of its
+coordinates from first use (``_read``), and the read depends on no config.
+The kernel and every other loop over the pairs i < j, on both sides, walk ``_PAIRS``, in row order.
 
 This module, with the JSON readers every ``from_json`` shares and
 ``_dimension``, the one rule of every public ``n`` on both sides, is the
@@ -68,15 +69,16 @@ class BoundaryPoint(Frozen):
     """A boundary point: horospherical (z, t) or the point at infinity."""
 
     _fields = ("at_infinity", "z", "t")
+    _read = None  # ((Re z1, Im z1, ...), t, |z|) once ``_reads`` has read a finite point
 
     def __init__(self, at_infinity: bool, z: tuple = (), t: float = 0.0):
         _setattr(self, "at_infinity", at_infinity)
-        _setattr(self, "z", z)
+        _setattr(self, "z", tuple(z))
         _setattr(self, "t", t)
 
     @classmethod
     def finite(cls, z, t) -> "BoundaryPoint":
-        return cls(False, tuple(complex(v) for v in z), float(t))
+        return cls(False, [complex(v) for v in z], float(t))
 
     @classmethod
     def infinity(cls) -> "BoundaryPoint":
@@ -86,7 +88,7 @@ class BoundaryPoint(Frozen):
         """Image under the standard anti-holomorphic involution (z, t) -> (conj z, -t)."""
         if self.at_infinity:
             return self
-        return BoundaryPoint(False, tuple(v.conjugate() for v in self.z), -self.t)
+        return BoundaryPoint(False, [v.conjugate() for v in self.z], -self.t)
 
     def isclose(self, other: "BoundaryPoint", cfg: NumericConfig | None = None) -> bool:
         c = resolve(cfg)
@@ -137,19 +139,19 @@ def infer_dimension(points) -> int:
 
 
 def _reads(points) -> tuple:
-    """Per point None at infinity or ([Re z1, Im z1, ...], t, |z|); the lists' length."""
+    """Per point None at infinity or its ``_read``, set once on first use; the width, per call."""
     reads, width = [], None
     for p in points:
-        if p.at_infinity:
-            reads.append(None)
-            continue
-        flat = []
-        for v in p.z:
-            flat += v.real, v.imag
-        if width not in (None, len(flat)):
-            raise DimensionMismatch("points live in different dimensions")
-        width = len(flat)
-        reads.append((flat, p.t, math.hypot(*flat)))
+        read = p._read
+        if read is None and not p.at_infinity:  # a finite point's first read
+            flat = tuple([part for v in p.z for part in (v.real, v.imag)])
+            read = flat, p.t, math.hypot(*flat)
+            _setattr(p, "_read", read)
+        if read is not None:
+            if width not in (None, len(read[0])):
+                raise DimensionMismatch("points live in different dimensions")
+            width = len(read[0])
+        reads.append(read)
     if width is None:
         raise CoincidentPoints("all points are at infinity")
     return reads, width
@@ -192,8 +194,7 @@ def _points_rows(points, c: NumericConfig) -> tuple:
                 raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
             upper.append(1 + 0j)
             continue
-        pz, pt, _ = u
-        qz, qt, norm = v
+        (pz, pt, _), (qz, qt, norm) = u, v
         dz2 = im = 0.0
         for k in reals:  # one coordinate's real and imaginary parts
             qr, qi = qz[k], qz[k + 1]
@@ -208,7 +209,7 @@ def _points_rows(points, c: NumericConfig) -> tuple:
             size = inf
         bound = a + r * dz2 + r * abs(dt) + r2 * sqrt(dz2) * norm
         if not size < inf > bound:  # also when either is NaN
-            raise _out_of_range(pz + qz + [pt, qt], i, j)
+            raise _out_of_range([*pz, *qz, pt, qt], i, j)
         if size <= bound:
             raise CoincidentPoints(f"points {i + 1} and {j + 1} coincide")
         if size < _TINY:

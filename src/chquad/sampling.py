@@ -56,7 +56,7 @@ def _boundary_point(n: int, gen: np.random.Generator) -> BoundaryPoint:
         return BoundaryPoint.infinity()
     # the real parts, the imaginary parts and t, in one draw; tolist() gives Python floats
     x = gen.standard_normal(2 * n - 1).tolist()
-    return BoundaryPoint(False, tuple(map(complex, x[:n - 1], x[n - 1:-1])), x[-1])
+    return BoundaryPoint(False, map(complex, x[:n - 1], x[n - 1:-1]), x[-1])
 
 
 def _draw_quadruple(n: int, kind: str, gen: np.random.Generator):

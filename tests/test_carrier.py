@@ -288,6 +288,16 @@ def test_each_op_runs_the_closed_form_kernel_and_builds_no_gram_matrix():
     assert (runs(_points_rows, roundtrip_op()), runs(_set_gram, roundtrip_op())) == (6, 0)
 
 
+def test_a_second_kernel_run_reads_no_point_again():
+    # each finite point keeps the kernel's read of its coordinates from its first run
+    invariants_op()
+    reads = [p._read for p in QUAD]
+    assert [r is None for r in reads] == [p.at_infinity for p in QUAD]
+    invariants_op()
+    roundtrip_op()()
+    assert all(p._read is r for p, r in zip(QUAD, reads))
+
+
 def test_a_directly_built_gram_matrix_runs_its_checks():
     G = gram_of([standard_lift(p, 3) for p in QUAD])
     assert checks(GramMatrix, lambda: GramMatrix(4, G.rows)) == 1

@@ -92,9 +92,14 @@ POINTS_ROWS = ("f7cc3657de14fcb9f8db28f05913370cdba29af9946c53854014bfa8ef4d25da
 
 @pytest.mark.parametrize("c, want", zip(CONFIGS, POINTS_ROWS))
 def test_the_points_kernel_keeps_its_bits(c, want):
+    # on copies that carry no read of their coordinates yet, then twice on the corpus's own
+    # points, which keep the reads of every earlier run, the samplers' under the default config
     corpus = sampled() + edges()
     assert len(corpus) == 235
-    assert digest([outcome(lambda: _points_rows(p, c)) for p in corpus]) == want
+    unread = [tuple(BoundaryPoint(p.at_infinity, p.z, p.t) for p in q) for q in corpus]
+    assert all(p._read is None for q in unread for p in q)
+    for quads in (unread, corpus, corpus):
+        assert digest([outcome(lambda: _points_rows(p, c)) for p in quads]) == want
 
 
 def lift_cases() -> list:
