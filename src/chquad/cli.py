@@ -109,8 +109,12 @@ def _cmd_invariants(obj, cfg):
     n = infer_dimension(points)
     g = _quadruple_gram(points, cfg)  # one Gram matrix for the moduli and the triple
     m = _moduli(g, cfg)
-    return {"n": n, "moduli": m.to_json(), "cross_ratios": _cross_ratios(g).to_json(),
-            "classification": classify(m, cfg).to_json()}
+    return {
+        "n": n,
+        "moduli": m.to_json(),
+        "cross_ratios": _cross_ratios(g).to_json(),
+        "classification": classify(m, cfg).to_json(),
+    }
 
 
 def _cmd_normalize(obj, cfg):

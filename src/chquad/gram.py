@@ -78,7 +78,7 @@ class GramMatrix(Frozen, compare=False):
         for i, j in _PAIRS[m]:
             if abs(rows[i][j]) <= tol:
                 raise CoincidentPoints(f"off-diagonal entry ({i + 1},{j + 1}) vanishes")
-        _set_gram(self, m, rows, cfg)
+        _set_gram(self, rows, cfg)
 
     @property
     def entries(self) -> np.ndarray:
@@ -96,10 +96,13 @@ class GramMatrix(Frozen, compare=False):
                                for i, row in enumerate(rows)], cfg)
 
 
-def _set_gram(G: GramMatrix, m: int, rows: tuple, cfg: NumericConfig | None):
-    _setattr(G, "m", m)
+def _set_gram(G: GramMatrix, rows: tuple, cfg: NumericConfig | None) -> GramMatrix:
+    """G with its fields set once: a kernel's checked rows reach it through
+    ``object.__new__``, as GramMatrix's __init__ would decide coincidence again."""
+    _setattr(G, "m", len(rows))
     _setattr(G, "rows", rows)
     _setattr(G, "cfg", cfg)
+    return G
 
 
 def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
@@ -109,7 +112,7 @@ def gram_of(lifts, cfg: NumericConfig | None = None) -> GramMatrix:
     magnitude of lift i; ``points._points_rows`` holds points to a rule of their own.
     """
     c = resolve(cfg)
-    return _wrap(_gram(lifts, c), c)
+    return _set_gram(object.__new__(GramMatrix), _gram(lifts, c), c)
 
 
 def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
@@ -119,15 +122,7 @@ def gram_of_points(points, cfg: NumericConfig | None = None) -> GramMatrix:
     bound by its entry's own terms; the invariants read them without this wrapper.
     """
     c = resolve(cfg)
-    return _wrap(_points_rows(points, c), c)
-
-
-def _wrap(rows: tuple, c: NumericConfig) -> GramMatrix:
-    """A GramMatrix of rows that a kernel has checked: GramMatrix's __init__, which would
-    decide coincidence again, does not run."""
-    G = object.__new__(GramMatrix)
-    _set_gram(G, len(rows), rows, c)
-    return G
+    return _set_gram(object.__new__(GramMatrix), _points_rows(points, c), c)
 
 
 def _gram(lifts, c: NumericConfig) -> tuple:

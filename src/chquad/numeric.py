@@ -30,9 +30,7 @@ class Frozen:
     class statement keeps identity equality instead.  Its ``__init__``
     sets each field with ``_setattr``; setting or deleting an attribute
     afterwards raises ``dataclasses.FrozenInstanceError``.  A value may
-    also carry a read of its own fields, independent of any config, set
-    once with ``_setattr`` on first use and outside ``_fields``, so ``==``,
-    ``hash``, ``repr`` and JSON never see it (``BoundaryPoint._read``).
+    keep a config-free read of its fields outside ``_fields`` (``_read``).
     """
 
     __slots__ = ()

@@ -3,10 +3,10 @@
 A finite boundary point of complex hyperbolic n-space carries coordinates
 (z, t) with z in C^{n-1} and t real; one distinguished point sits at
 infinity.  The Gram matrix of the points' standard lifts (see
-``hermitian``) has a closed form in these coordinates, which ``_points_rows``
-evaluates without building a lift; a finite point keeps the read of its
-coordinates from first use (``_read``), and the read depends on no config.
-The kernel and every other loop over the pairs i < j, on both sides, walk ``_PAIRS``, in row order.
+``hermitian``) has a closed form in these coordinates, which
+``_points_rows`` evaluates without building a lift.  It and every other
+loop over the pairs i < j, on both sides, walk one table: ``_PAIRS``, in row order.
+A finite point keeps the kernel's config-free read of it (``_read``).
 
 This module, with the JSON readers every ``from_json`` shares and
 ``_dimension``, the one rule of every public ``n`` on both sides, is the
@@ -144,7 +144,9 @@ def _reads(points) -> tuple:
     for p in points:
         read = p._read
         if read is None and not p.at_infinity:  # a finite point's first read
-            flat = tuple([part for v in p.z for part in (v.real, v.imag)])
+            flat = ()
+            for v in p.z:
+                flat += v.real, v.imag
             read = flat, p.t, math.hypot(*flat)
             _setattr(p, "_read", read)
         if read is not None:
