@@ -13,12 +13,11 @@ The rows of G come from two kernels, each checking the pairs i < j of
 ``points._PAIRS`` in row order.  ``_gram`` takes the products of null lifts
 (``HermitianVector``s), checks each lift's nullity and holds each pair
 to tol(s_i s_j), s_i the scale of lift i; ``points._points_rows``
-evaluates the standard lifts' entries in closed form.  Four values are
+evaluates the standard lifts' entries in closed form.  Three values are
 built of checked parts without their own checks: the ``GramMatrix`` of
 ``gram_of`` and ``gram_of_points`` (a kernel's rows), the
 ``NormalizedGram`` of ``gram_from_moduli`` and ``conjugate`` (a guarded
-moduli point), ``moduli.reconstruct``'s lifts (numbers it computed) and
-``invariants._mirror`` (conjugation keeps |X1|, |X2| and finiteness).
+moduli point) and ``moduli.reconstruct``'s lifts (numbers it computed).
 This is the top of the lift side; ``FACES`` and ``congruent_*`` of
 ``invariants`` are names of it too.
 """

@@ -109,10 +109,21 @@ def cross_ratio(p1, p2, p3, p4, cfg: NumericConfig | None = None) -> complex:
     return _cross_ratio(_points_rows((p1, p2, p3, p4), resolve(cfg)), 0, 1, 2, 3)
 
 
-def _check_nonzero(x1: complex, x2: complex, c: NumericConfig):
-    """ModuliPoint's guard: ZeroCrossRatio unless |X1| and |X2| exceed c's absolute tolerance."""
-    if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:
-        raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
+def _guard(x1: complex, x2: complex, a: float, c: NumericConfig):
+    """ModuliPoint's guard: finite X1, X2 and A, then |X1| and |X2| above c's absolute tolerance."""
+    if not (cmath.isfinite(x1) and cmath.isfinite(x2) and math.isfinite(a)):
+        raise InvalidParameter("moduli coordinates must be finite")
+    try:
+        if abs(x1) <= c.abs_tol or abs(x2) <= c.abs_tol:
+            raise ZeroCrossRatio("moduli coordinates require nonzero X1 and X2")
+    except OverflowError:  # a modulus of finite parts beyond the float range
+        raise _overflow(("X1", x1), ("X2", x2)) from None
+
+
+def _isclose(p: tuple, q: tuple, c: NumericConfig) -> bool:
+    """ModuliPoint.isclose's rule on coordinates p = (X1, X2, A) and q."""
+    scale = max(1.0, abs(p[0]), abs(q[0]), abs(p[1]), abs(q[1]))
+    return _close(c.tol(scale), p[0] - q[0], p[1] - q[1]) and abs(p[2] - q[2]) <= c.tol(1.0)
 
 
 class ModuliPoint(Frozen):
@@ -127,22 +138,14 @@ class ModuliPoint(Frozen):
     def __init__(self, x1: complex, x2: complex, cartan: float,
                  cfg: NumericConfig | None = None):
         x1, x2, cartan = complex(x1), complex(x2), float(cartan)
-        if not (cmath.isfinite(x1) and cmath.isfinite(x2) and math.isfinite(cartan)):
-            raise InvalidParameter("moduli coordinates must be finite")
+        _guard(x1, x2, cartan, resolve(cfg))
         _setattr(self, "x1", x1)
         _setattr(self, "x2", x2)
         _setattr(self, "cartan", cartan)
         _setattr(self, "cfg", cfg)
-        try:
-            _check_nonzero(x1, x2, resolve(cfg))
-        except OverflowError:  # a modulus of finite parts beyond the float range
-            raise _overflow(("X1", x1), ("X2", x2)) from None
 
     def isclose(self, other: "ModuliPoint", cfg: NumericConfig | None = None) -> bool:
-        c = resolve(cfg)
-        scale = max(1.0, abs(self.x1), abs(other.x1), abs(self.x2), abs(other.x2))
-        return (_close(c.tol(scale), self.x1 - other.x1, self.x2 - other.x2)
-                and abs(self.cartan - other.cartan) <= c.tol(1.0))
+        return _isclose(self._key(self), self._key(other), resolve(cfg))
 
     def to_json(self) -> dict:
         return {"x1": [self.x1.real, self.x1.imag],
@@ -210,6 +213,13 @@ def _moduli(g, cfg: NumericConfig | None) -> ModuliPoint:
                        _cartan(g, 0, 1, 2, cfg), cfg)
 
 
+def _coordinates(g, cfg: NumericConfig | None) -> tuple:
+    """``_moduli``'s (X1, X2, A) as a tuple, through the same guard, with no ModuliPoint."""
+    x = _cross_ratio(g, 0, 1, 2, 3), _cross_ratio(g, 0, 2, 1, 3), _cartan(g, 0, 1, 2, cfg)
+    _guard(*x, resolve(cfg))
+    return x
+
+
 def _dictionary(x1: complex, x2: complex, a: float) -> tuple:
     """The normal form's free entries g13 = -e^{-iA}, g14 = 1/conj(X2) and
     g24 = -(conj X1/conj X2) e^{iA}; OverflowError or UnderflowError naming g14 or g24 when
@@ -254,21 +264,11 @@ def _face_dets(g13: complex, g14: complex, g24: complex) -> tuple:
 
 def congruent_holomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
     """Are two quadruples congruent under a holomorphic isometry, i.e. their moduli points close?"""
-    mp, mq = (_moduli(_quadruple_gram(x, cfg), cfg) for x in (p, q))
-    return mp.isclose(mq, cfg)
+    mp, mq = (_coordinates(_quadruple_gram(x, cfg), cfg) for x in (p, q))
+    return _isclose(mp, mq, resolve(cfg))
 
 
 def congruent_antiholomorphic(p, q, cfg: NumericConfig | None = None) -> bool:
     """Are two quadruples congruent under an anti-holomorphic isometry (X -> conj X, A -> -A)?"""
-    mp, mq = (_moduli(_quadruple_gram(x, cfg), cfg) for x in (p, q))
-    return mp.isclose(_mirror(mq), cfg)
-
-
-def _mirror(m: ModuliPoint) -> ModuliPoint:
-    """(conj X1, conj X2, -A) with m's config, unchecked: conjugation keeps |X1|, |X2| and
-    finiteness, so ModuliPoint's guard, which m has passed, would pass again."""
-    mirror = object.__new__(ModuliPoint)
-    for name, v in zip(("x1", "x2", "cartan", "cfg"),
-                       (m.x1.conjugate(), m.x2.conjugate(), -m.cartan, m.cfg)):
-        _setattr(mirror, name, v)
-    return mirror
+    mp, (y1, y2, b) = (_coordinates(_quadruple_gram(x, cfg), cfg) for x in (p, q))
+    return _isclose(mp, (y1.conjugate(), y2.conjugate(), -b), resolve(cfg))

@@ -28,7 +28,7 @@ import math
 
 from .errors import (InconsistentGram, InvalidParameter, NotInModuliSpace, PreconditionViolated,
                      UnderflowError)
-from .invariants import (HALF_PI, ModuliPoint, _check_nonzero, _dictionary, _face_dets, _moduli,
+from .invariants import (HALF_PI, ModuliPoint, _dictionary, _face_dets, _guard, _moduli,
                          _quadruple_gram, _residual)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 from .points import _TINY, _dimension
@@ -144,7 +144,7 @@ def reconstruct(m: ModuliPoint, n: int, cfg: NumericConfig | None = None):
     if scale is None:
         raise NotInModuliSpace(f"{m} is not realized by any quadruple in dimension {n}")
 
-    _check_nonzero(m.x1, m.x2, c)  # cfg's guard, which may be stricter than m's own
+    _guard(m.x1, m.x2, m.cartan, c)  # cfg's guard, which may be stricter than m's own
     x2_sq = _x2_squared(abs(m.x2))
     a = min(max(m.cartan, -HALF_PI), HALF_PI)
     g13, g14, g24 = _dictionary(m.x1, m.x2, a)

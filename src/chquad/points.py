@@ -73,8 +73,8 @@ class BoundaryPoint(Frozen):
 
     def __init__(self, at_infinity: bool, z: tuple = (), t: float = 0.0):
         _setattr(self, "at_infinity", at_infinity)
-        _setattr(self, "z", tuple(z))
-        _setattr(self, "t", t)
+        _setattr(self, "z", () if at_infinity else tuple(z))  # infinity has no coordinates
+        _setattr(self, "t", 0.0 if at_infinity else t)
 
     @classmethod
     def finite(cls, z, t) -> "BoundaryPoint":

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (CoincidentPoints, DegenerateBasis, InvalidParameter, ResamplingExhausted,
                      ZeroCrossRatio)
-from .invariants import HALF_PI, ModuliPoint, _moduli, _quadruple_gram, _residual
+from .invariants import HALF_PI, ModuliPoint, _coordinates, _quadruple_gram, _residual
 from .numeric import NumericConfig
 from .points import BoundaryPoint, _dimension
 
@@ -100,7 +100,7 @@ def random_quadruple(n: int, kind: str, rng, cfg: NumericConfig | None = None):
     for _ in range(MAX_ATTEMPTS):
         points = tuple(_draw_quadruple(n, kind, gen))
         try:
-            _moduli(_quadruple_gram(points, cfg), cfg)
+            _coordinates(_quadruple_gram(points, cfg), cfg)
         except (CoincidentPoints, ZeroCrossRatio):
             continue
         return points

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import CertificateFailure, InvalidParameter
-from .invariants import (CrossRatioTriple, ModuliPoint, _cross_ratios, _mirror, _moduli,
+from .invariants import (CrossRatioTriple, ModuliPoint, _cross_ratios, _isclose, _moduli,
                          _quadruple_gram)
 from .numeric import Frozen, NumericConfig, _setattr, resolve
 from .points import _PAIRS, BoundaryPoint
@@ -113,11 +113,12 @@ def certify_noninjectivity(t: float, cfg: NumericConfig | None = None) -> Certif
     if holo:
         raise CertificateFailure("not-holomorphically-congruent",
                                  "the pair is congruent after all")
-    anti = mp.isclose(_mirror(mq), c)  # congruent_antiholomorphic(p, q, c) likewise
+    x = mp._key(mp)  # (X1, X2, A), held to mq's mirror, then to mq with A negated
+    anti = _isclose(x, (mq.x1.conjugate(), mq.x2.conjugate(), -mq.cartan), c)
     if not anti:
         raise CertificateFailure("antiholomorphically-congruent",
                                  "mirror congruence missing")
-    if not mp.isclose(ModuliPoint(mq.x1, mq.x2, -mq.cartan, c), c):
+    if not _isclose(x, (mq.x1, mq.x2, -mq.cartan), c):
         raise CertificateFailure("opposite-cartan",
                                  f"moduli {mp} vs {mq}")
     return Certificate(

@@ -219,13 +219,16 @@ def test_points_reach_the_gram_kernel_without_lift_objects():
 
 def test_the_inverse_path_checks_nothing_it_has_built():
     # reconstruct reads F once, for membership and for its zero-coordinate branch; the
-    # anti-holomorphic congruence mirrors a moduli point whose guard has passed, unchecked
+    # congruences and random_quadruple's acceptance read coordinates through ModuliPoint's
+    # guard and build no value
     from chquad.invariants import _residual
 
     m = moduli_coordinates(QUAD)
     assert runs(_residual, lambda: reconstruct(m, 3)) == 1
     assert runs(_residual, lambda: reconstruct(C_PLANE, 3)) == 1
-    assert checks(ModuliPoint, roundtrip_op()) == 6
+    assert checks(ModuliPoint, roundtrip_op()) == 0
+    rng = np.random.default_rng(7)
+    assert checks(ModuliPoint, lambda: [random_quadruple(3, k, rng) for k in KINDS]) == 0
 
 
 def reconstruct_corpus():
@@ -256,22 +259,6 @@ def test_reconstruct_builds_the_values_hermitian_vector_would_store():
             assert all(type(v) is complex for v in P.values)
             assert [bits(v) for v in P.values] == \
                 [bits(v) for v in HermitianVector(n, P.values).values]
-
-
-def test_the_unchecked_mirror_is_the_checked_one():
-    from chquad.invariants import _mirror
-
-    points = [m for m, _, _ in reconstruct_corpus()]
-    for m in points:
-        mirror = _mirror(m)
-        checked = ModuliPoint(m.x1.conjugate(), m.x2.conjugate(), -m.cartan, m.cfg)
-        assert mirror == checked and mirror.cfg is m.cfg
-        assert [bits(v) for v in (mirror.x1, mirror.x2, complex(mirror.cartan))] == \
-            [bits(v) for v in (checked.x1, checked.x2, complex(checked.cartan))]
-        for other in points[::7] + [checked, m]:
-            for cfg in (None, NumericConfig(1e-3, 1e-3)):
-                assert mirror.isclose(other, cfg) == checked.isclose(other, cfg)
-                assert other.isclose(mirror, cfg) == other.isclose(checked, cfg)
 
 
 def test_an_invariants_op_runs_no_gram_matrix_checks():

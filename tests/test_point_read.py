@@ -53,6 +53,9 @@ def test_both_constructors_build_the_same_value():
     z.append(3j)  # the caller's list is not the point's
     assert r.z == (1j,) and infer_dimension((r, r, r)) == 2
     assert BoundaryPoint(False, q.z, 0.5).z is q.z  # a tuple is kept, not copied
+    inf, direct = BoundaryPoint.infinity(), BoundaryPoint(True, [1j], 2.0)  # no z, t at infinity
+    assert direct == inf and hash(direct) == hash(inf) and repr(direct) == repr(inf)
+    assert BoundaryPoint.from_json(direct.to_json()) == direct and direct.mirror() is direct
 
 
 def test_the_first_kernel_run_keeps_each_finite_points_read():
